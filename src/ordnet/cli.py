@@ -213,9 +213,16 @@ def read_data_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
                     f"{path}:{lineno}: expected {len(names)} columns, got {len(parts)}"
                 )
             try:
-                rows.append([float(part) for part in parts])
+                values = [float(part) for part in parts]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value")
+            if not all(map(math.isfinite, values)):
+                col = next(k for k, value in enumerate(values) if not math.isfinite(value))
+                raise DataError(
+                    f"{path}:{lineno}: non-finite value {values[col]} "
+                    f"in column '{names[col]}'"
+                )
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return names, np.array(rows)

@@ -140,6 +140,13 @@ class GroupedDataset:
                 raise DataError(f"group {a}: expected a 2-d matrix, got shape {y.shape}")
             if y.shape[0] < 2:
                 raise DataError(f"group {a}: needs at least 2 samples, got {y.shape[0]}")
+            finite = np.isfinite(y)
+            if not finite.all():
+                row, col = np.argwhere(~finite)[0]
+                raise DataError(
+                    f"group {a}: non-finite value {float(y[row, col])} "
+                    f"at row {int(row)}, column {int(col)}"
+                )
             if p is None:
                 p = y.shape[1]
             elif y.shape[1] != p:

@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy import special
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
 
@@ -414,23 +414,15 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
     return shape, rate
 
 
-_IDX_CACHE: dict[int, list[np.ndarray]] = {}
-
-
-def _column_indices(p: int) -> list[np.ndarray]:
-    if p not in _IDX_CACHE:
-        _IDX_CACHE[p] = [
-            np.concatenate((np.arange(j), np.arange(j + 1, p))) for j in range(p)
-        ]
-    return _IDX_CACHE[p]
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _invert_pd(matrix: np.ndarray) -> np.ndarray:
-    try:
-        factor = cho_factor(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    factor, info = _POTRF(matrix, lower=1, clean=0)
+    if info > 0:
         raise NumericalError("precision matrix is not positive definite")
-    return cho_solve(factor, np.eye(matrix.shape[0]), check_finite=False)
+    inverse, _ = _POTRS(factor, np.eye(matrix.shape[0]), lower=1, overwrite_b=1)
+    return inverse
 
 
 def _cm_sweep(
@@ -450,33 +442,88 @@ def _cm_sweep(
     column update solves the column's stationary conditions exactly, and the
     diagonal update keeps the Schur complement at n/(s_jj + lambda) > 0, so
     positive definiteness is preserved.
+
+    Column j's update is the graphical-lasso block solve: with the other
+    indices ``-j``, it needs ``inv11 = inv(omega[-j, -j]) = W11 - w12 w12' /
+    w_jj`` and solves ``(s22 inv11 + diag(d[-j, j])) u = -s[-j, j]``.  This
+    kernel never gathers the (p-1)-block.  It forms ``A = W - w_j w_j' /
+    w_jj`` on the full p x p array and sets row and column j to zero, so A is
+    inv11 padded with a zero row and column at j.  In the padded system
+    ``s22 A + diag(d[:, j])`` with entry (j, j) set to 1, index j is
+    decoupled from the rest: its Cholesky factor is the (p-1)-block's factor
+    with a unit row and column inserted at j, and with ``rhs[j] = 0`` its
+    solution is the block solution with ``u[j] = 0``.  The update therefore equals the gathered
+    solve up to the summation order inside LAPACK and BLAS.  The same
+    rank-one identity ``W = A + t t' / v`` then refreshes the whole inverse
+    in place, and row j, column j and entry (j, j) are written last.
     """
     p = omega.shape[0]
-    idx_all = _column_indices(p)
+    outer = np.empty((p, p))
+    system = np.empty((p, p))
+    system_diag = system.reshape(-1)[:: p + 1]
     cols = range(p) if columns is None else columns
     for j in cols:
-        idx = idx_all[j]
-        s12 = scatter[idx, j]
+        wj = w[:, j].copy()
+        np.multiply.outer(wj, wj, out=outer)
+        outer /= wj[j]
+        w -= outer
+        w[j, :] = 0.0
+        w[:, j] = 0.0
         s22 = scatter[j, j] + lambda_diag
-        w12 = w[idx, j]
-        inv11 = w[np.ix_(idx, idx)] - np.outer(w12, w12) / w[j, j]
-        system = s22 * inv11
-        system[np.diag_indices(p - 1)] += d[idx, j]
-        try:
-            factor = cho_factor(system, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        np.multiply(w, s22, out=system)
+        system_diag += d[:, j]
+        system[j, j] = 1.0
+        # system is symmetric, so its transpose is the Fortran-ordered view
+        # LAPACK factors in place.
+        factor, info = _POTRF(system.T, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
             raise NumericalError(
                 "singular column system in the precision update; "
                 "increase nu0 or lambda_diag"
             )
-        u = -cho_solve(factor, s12, check_finite=False)
-        t = inv11 @ u
+        rhs = -scatter[:, j]
+        rhs[j] = 0.0
+        u, _ = _POTRS(factor, rhs, lower=1, overwrite_b=1)
+        u[j] = 0.0
+        t = w @ u
         v = n / s22
-        omega[idx, j] = omega[j, idx] = u
+        omega[:, j] = u
+        omega[j, :] = u
         omega[j, j] = v + float(u @ t)
-        w[np.ix_(idx, idx)] = inv11 + np.outer(t, t) / v
-        w[idx, j] = w[j, idx] = -t / v
+        np.multiply.outer(t, t, out=outer)
+        outer /= v
+        w += outer
+        w[:, j] = -t / v
+        w[j, :] = w[:, j]
         w[j, j] = 1.0 / v
+
+
+# Sweep caps and tolerances of the two sweep-to-tolerance callers: the
+# all-slab ridge start in ``fit`` and ``refit_precision``.
+_RIDGE_START_SWEEPS = 50
+_RIDGE_START_TOL = 1e-6
+_REFIT_SWEEPS = 100
+_REFIT_TOL = 1e-8
+
+
+def _sweep_to_tolerance(
+    omega: np.ndarray,
+    w: np.ndarray,
+    scatter: np.ndarray,
+    n: int,
+    d: np.ndarray,
+    lambda_diag: float,
+    max_sweeps: int,
+    tol: float,
+) -> None:
+    """Repeat full sweeps in place until the largest entry change of a sweep
+    is at most ``tol`` times the matrix scale, or ``max_sweeps`` have run."""
+    for _ in range(max_sweeps):
+        before = omega.copy()
+        _cm_sweep(omega, w, scatter, n, d, lambda_diag)
+        scale = max(1.0, float(np.max(np.abs(omega))))
+        if float(np.max(np.abs(omega - before))) <= tol * scale:
+            break
 
 
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
@@ -512,8 +559,8 @@ def refit_precision(
     n: int,
     d: np.ndarray,
     lambda_diag: float,
-    max_sweeps: int = 100,
-    tol: float = 1e-8,
+    max_sweeps: int = _REFIT_SWEEPS,
+    tol: float = _REFIT_TOL,
 ) -> np.ndarray:
     """Iterate conditional-maximisation sweeps under a fixed prior-precision map.
 
@@ -523,12 +570,7 @@ def refit_precision(
     """
     omega = np.asarray(omega, dtype=float).copy()
     w = _invert_pd(omega)
-    for _ in range(max_sweeps):
-        before = omega.copy()
-        _cm_sweep(omega, w, scatter, n, d, lambda_diag)
-        scale = max(1.0, float(np.max(np.abs(omega))))
-        if float(np.max(np.abs(omega - before))) <= tol * scale:
-            break
+    _sweep_to_tolerance(omega, w, scatter, n, d, lambda_diag, max_sweeps, tol)
     return omega
 
 
@@ -721,13 +763,10 @@ def fit(
     inverses = {a: np.eye(data.p) for a in levels}
     slab = np.full((data.p, data.p), 1.0 / (hyper.nu1 * hyper.nu1))
     for a in levels:
-        omega, w = state.omega[a], inverses[a]
-        for _ in range(50):
-            before = omega.copy()
-            _cm_sweep(omega, w, scatters[a], ns[a], slab, hyper.lambda_diag)
-            scale = max(1.0, float(np.max(np.abs(omega))))
-            if float(np.max(np.abs(omega - before))) <= 1e-6 * scale:
-                break
+        _sweep_to_tolerance(
+            state.omega[a], inverses[a], scatters[a], ns[a], slab, hyper.lambda_diag,
+            _RIDGE_START_SWEEPS, _RIDGE_START_TOL,
+        )
     targets = {a: hyper.nu0_for(a) for a in levels}
     start = {a: targets[a] / _ANNEAL_SPAN for a in levels}
     soft = replace(hyper, nu0=start)

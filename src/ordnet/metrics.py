@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.stats import rankdata
 
-from .core import DataError, Edge, edge_set
+from .core import DataError, Edge, edge_indicator, edge_set
 
 _EDGE_TOL = 1e-12
 
@@ -27,6 +27,16 @@ def _upper_values(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return matrix[rows, cols], rows, cols
 
 
+def _truth_labels(
+    truth: Iterable[Edge], p: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Boolean true-edge labels aligned with the upper-triangle pairs."""
+    truth = edge_set(truth)
+    if any(i < 0 or j >= p for i, j in truth):
+        raise DataError(f"truth has an edge outside the {p} nodes")
+    return edge_indicator(truth, p)[rows, cols] > 0.0
+
+
 def roc_auc(scores: np.ndarray, truth: Iterable[Edge]) -> float:
     """Probability that a true edge outscores a non-edge, ties counted half.
 
@@ -34,8 +44,7 @@ def roc_auc(scores: np.ndarray, truth: Iterable[Edge]) -> float:
     against the edge indicator (the rank-sum form).
     """
     values, rows, cols = _upper_values(scores)
-    truth = edge_set(truth)
-    labels = np.array([(i, j) in truth for i, j in zip(rows, cols)])
+    labels = _truth_labels(truth, np.shape(scores)[0], rows, cols)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -56,8 +65,7 @@ def precision_recall(
     if not 0.0 <= threshold <= 1.0:
         raise DataError("threshold must lie in [0, 1]")
     values, rows, cols = _upper_values(ppi)
-    truth = edge_set(truth)
-    labels = np.array([(i, j) in truth for i, j in zip(rows, cols)])
+    labels = _truth_labels(truth, np.shape(ppi)[0], rows, cols)
     predicted = values >= threshold
     tp = int(np.count_nonzero(predicted & labels))
     fp = int(np.count_nonzero(predicted & ~labels))

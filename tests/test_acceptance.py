@@ -37,6 +37,8 @@ from ordnet import (
 )
 from ordnet.cli import main as cli_main
 
+pytestmark = pytest.mark.acceptance
+
 LEVELS = (1, 2, 3, 4)
 SPIKE = 0.04
 N0_P100 = edge_count_prior(100)[0]

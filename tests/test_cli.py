@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ordnet import GroupedDataset, edge_count_prior, fit_ssl
+from ordnet import DataError, GroupedDataset, edge_count_prior, fit_ssl
 from ordnet.cli import (
     ConfigError,
     main,
@@ -104,6 +104,13 @@ class TestFileFormats:
         back_names, back = read_data_csv(path)
         assert back_names == names
         assert np.array_equal(back, data)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_data_csv_rejects_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b\n1.0,2.0\n\n3.0,{bad}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"data\.csv:4: non-finite value .* column 'b'"):
+            read_data_csv(str(path))
 
     def test_manifest_round_trip(self, tmp_path):
         entries = [("data_level_1.csv", 1, 50), ("data_level_2.csv", 2, 60)]

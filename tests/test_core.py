@@ -211,6 +211,13 @@ class TestGroupedDataset:
         with pytest.raises(DataError, match="at least 2 samples"):
             GroupedDataset(levels=(1,), data=(rng.standard_normal((1, 3)),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, rng, bad):
+        y = rng.standard_normal((5, 3))
+        y[3, 1] = bad
+        with pytest.raises(DataError, match=r"group 2: non-finite value .* row 3, column 1"):
+            GroupedDataset(levels=(1, 2), data=(rng.standard_normal((5, 3)), y))
+
     def test_rejects_wrong_name_count(self, rng):
         with pytest.raises(DataError, match="variable names"):
             GroupedDataset(

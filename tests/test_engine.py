@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
+from scipy.linalg import cho_factor, cho_solve
 
 from ordnet import (
     DataError,
@@ -14,6 +15,7 @@ from ordnet import (
     FitReport,
     GroupedDataset,
     Hyperparameters,
+    NumericalError,
     SimulationConfig,
     cm_update_precision,
     compute_elbo,
@@ -31,7 +33,7 @@ from ordnet import (
     update_sigma,
     update_zeta,
 )
-from ordnet.engine import refit_precision
+from ordnet.engine import _cm_sweep, refit_precision
 
 
 def grouped(rng, levels, n, p):
@@ -480,6 +482,70 @@ class TestRefitPrecision:
         assert is_positive_definite(omega)
         again = refit_precision(omega, scatter, n, d, 1.0, max_sweeps=1)
         assert np.max(np.abs(again - omega)) < 1e-6
+
+
+def gathered_sweep(omega, w, scatter, n, d, lambda_diag, columns=None):
+    """Reference column update: gathers each (p-1)-block and solves it.
+
+    This is the textbook graphical-lasso block solve, kept here only as the
+    oracle for the engine's zero-padded full-matrix kernel.
+    """
+    p = omega.shape[0]
+    for j in range(p) if columns is None else columns:
+        idx = np.concatenate((np.arange(j), np.arange(j + 1, p)))
+        s12 = scatter[idx, j]
+        s22 = scatter[j, j] + lambda_diag
+        w12 = w[idx, j]
+        inv11 = w[np.ix_(idx, idx)] - np.outer(w12, w12) / w[j, j]
+        system = s22 * inv11
+        system[np.diag_indices(p - 1)] += d[idx, j]
+        u = -cho_solve(cho_factor(system, lower=True), s12)
+        t = inv11 @ u
+        v = n / s22
+        omega[idx, j] = omega[j, idx] = u
+        omega[j, j] = v + float(u @ t)
+        w[np.ix_(idx, idx)] = inv11 + np.outer(t, t) / v
+        w[idx, j] = w[j, idx] = -t / v
+        w[j, j] = 1.0 / v
+
+
+class TestCmSweepKernel:
+    def random_inputs(self, rng, p, n=40):
+        base = rng.standard_normal((p, p))
+        omega = base @ base.T / p + np.eye(p)
+        omega = 0.5 * (omega + omega.T)
+        w = np.linalg.inv(omega)
+        y = rng.standard_normal((n, p))
+        y -= y.mean(axis=0)
+        ppi = rng.uniform(0.0, 1.0, size=(p, p))
+        ppi = 0.5 * (ppi + ppi.T)
+        d = ppi + (1.0 - ppi) / 0.05**2
+        # The model never reads the diagonal of d; zero makes the padded
+        # system's unit pivot at (j, j) matter.
+        np.fill_diagonal(d, 0.0)
+        return omega, 0.5 * (w + w.T), sample_covariance(y), n, d
+
+    @pytest.mark.parametrize("p", [2, 3, 12, 50])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_gathered_block_solve(self, rng, p, subset):
+        omega, w, scatter, n, d = self.random_inputs(rng, p)
+        columns = rng.permutation(p)[: max(1, p // 2)].tolist() if subset else None
+        ref_omega, ref_w = omega.copy(), w.copy()
+        for _ in range(3):
+            gathered_sweep(ref_omega, ref_w, scatter, n, d, 1.3, columns)
+            _cm_sweep(omega, w, scatter, n, d, 1.3, columns)
+            for got, ref in ((omega, ref_omega), (w, ref_w)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.array_equal(got, got.T)
+            assert np.max(np.abs(w @ omega - np.eye(p))) < 1e-10
+
+    def test_indefinite_column_system_raises(self, rng):
+        p, n = 4, 30
+        y = rng.standard_normal((n, p))
+        scatter = sample_covariance(y - y.mean(axis=0))
+        d = np.full((p, p), -1e3)
+        with pytest.raises(NumericalError, match="singular column system"):
+            refit_precision(np.eye(p), scatter, n, d, 1.0)
 
 
 class TestComputeElbo:

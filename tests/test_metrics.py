@@ -88,6 +88,14 @@ class TestRocAuc:
         with pytest.raises(DataError):
             roc_auc(scores, {(0, 1), (0, 2), (1, 2)})
 
+    def test_rejects_truth_outside_the_nodes(self, rng):
+        scores = symmetric_scores(rng, 3)
+        for truth in ({(0, 1), (1, 3)}, {(-1, 2)}):
+            with pytest.raises(DataError, match="outside the 3 nodes"):
+                roc_auc(scores, truth)
+            with pytest.raises(DataError, match="outside the 3 nodes"):
+                precision_recall(scores, truth)
+
 
 class TestPrecisionRecall:
     def test_perfect_prediction(self):
