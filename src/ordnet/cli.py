@@ -42,17 +42,14 @@ class ConfigError(ValueError):
 
 _INT_KEYS = {
     "p", "n_base_edges", "n_appearing", "n_disappearing", "n_per_group",
-    "seed", "max_iter", "min_iter", "threads", "replicates", "k",
+    "seed", "max_iter", "min_iter", "threads", "replicates",
 }
 _FLOAT_KEYS = {
     "partial_corr_magnitude", "jitter_margin", "nu1", "lambda_diag", "n0",
     "t0_sq", "alpha_sigma", "beta_sigma", "gamma_ebic", "elbo_rel_tol",
-    "ppi_threshold", "expected_edges", "sd_edges",
+    "expected_edges", "sd_edges",
 }
-_STR_KEYS = {
-    "out_dir", "manifest", "truth_json", "fit_json", "metrics_csv",
-    "report_json", "out_prefix", "method",
-}
+_STR_KEYS = {"out_dir", "manifest", "fit_json", "report_json", "method"}
 _LIST_KEYS = {"levels", "nu0_grid", "nu0"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
 
@@ -150,19 +147,18 @@ def _resolve_nu0(
     return selected
 
 
-def _hyperparameters(
-    cfg: Mapping[str, object], levels: Sequence[int], p: int, nu0: Mapping[int, float]
-) -> Hyperparameters:
+def _intercept_prior(cfg: Mapping[str, object], p: int) -> tuple[float, float]:
+    """(n0, t0_sq): the configured values, else the edge-count prior's."""
     if "n0" in cfg and "t0_sq" in cfg:
-        n0, t0_sq = float(cfg["n0"]), float(cfg["t0_sq"])
-    else:
-        n0_default, t0_default = edge_count_prior(
-            p,
-            cfg.get("expected_edges"),
-            cfg.get("sd_edges"),
-        )
-        n0 = float(cfg.get("n0", n0_default))
-        t0_sq = float(cfg.get("t0_sq", t0_default))
+        return float(cfg["n0"]), float(cfg["t0_sq"])
+    n0_default, t0_default = edge_count_prior(p, cfg.get("expected_edges"), cfg.get("sd_edges"))
+    return float(cfg.get("n0", n0_default)), float(cfg.get("t0_sq", t0_default))
+
+
+def _hyperparameters(
+    cfg: Mapping[str, object], p: int, nu0: Mapping[int, float]
+) -> Hyperparameters:
+    n0, t0_sq = _intercept_prior(cfg, p)
     try:
         return Hyperparameters(
             nu0=dict(nu0),
@@ -396,13 +392,14 @@ def cmd_select_nu0(
             search = Nu0SearchConfig.for_slab(nu1, gamma_ebic=gamma)
     except DataError as exc:
         raise ConfigError(f"invalid nu0 grid: {exc}")
+    n0, t0_sq = _intercept_prior(cfg, dataset.p)
     result = line_search_nu0(
         dataset,
         nu1,
         search,
         lambda_diag=float(cfg.get("lambda_diag", 1.0)),
-        n0=cfg.get("n0"),
-        t0_sq=cfg.get("t0_sq"),
+        n0=n0,
+        t0_sq=t0_sq,
         controls=_fit_controls(cfg),
         workers=int(cfg.get("threads", 1)),
     )
@@ -440,11 +437,9 @@ def cmd_fit(
     out = _require(out if out is not None else cfg.get("fit_json"), "--out", "fit_json")
     _check_output_dir(out)
     method = method if method is not None else str(cfg.get("method", "joint"))
-    if method not in ("joint", "ssl"):
-        raise ConfigError(f"method must be 'joint' or 'ssl', got {method!r}")
     dataset = load_grouped_dataset(manifest).prepare()
     nu0 = _resolve_nu0(cfg, dataset.levels, nu0_report)
-    hyper = _hyperparameters(cfg, dataset.levels, dataset.p, nu0)
+    hyper = _hyperparameters(cfg, dataset.p, nu0)
     controls = _fit_controls(cfg)
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -117,7 +117,6 @@ def top_k_edge_subnetworks(
     """
     if k < 0:
         raise DataError("k must be non-negative")
-    values, rows, cols = _upper_values(beta_mean)
     matrix = np.asarray(beta_mean, dtype=float)
     top = [e for e in _ordered_edges(matrix, descending=True) if matrix[e] > 0.0][:k]
     bottom = [e for e in _ordered_edges(matrix, descending=False) if matrix[e] < 0.0][:k]

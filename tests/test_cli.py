@@ -2,13 +2,24 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ordnet import DataError, GroupedDataset, edge_count_prior, fit_ssl
+from ordnet import (
+    DataError,
+    GroupedDataset,
+    Nu0SearchConfig,
+    edge_count_prior,
+    fit_ssl,
+    line_search_nu0,
+)
+from ordnet import cli
 from ordnet.cli import (
     ConfigError,
+    load_grouped_dataset,
     main,
     parse_config,
     read_data_csv,
@@ -93,6 +104,34 @@ class TestParseConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(str(tmp_path / "absent.conf"))
+
+    @pytest.mark.parametrize(
+        "line",
+        ["k = 5", "ppi_threshold = 0.5", "truth_json = t.json", "metrics_csv = m.csv",
+         "out_prefix = run"],
+    )
+    def test_keys_no_command_reads_are_unknown(self, tmp_path, line):
+        path = write_config(tmp_path / "run.conf", line)
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            parse_config(path)
+
+    def test_documented_keys_match_the_parser(self):
+        text = (Path(__file__).resolve().parents[1] / "docs" / "file-formats.md").read_text(
+            encoding="utf-8"
+        )
+        section = text.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for kind, body in re.findall(
+            r"^- (integers|floats|strings|lists): (.*?)(?=^\S|^- |\Z)", section, re.M | re.S
+        ):
+            documented[kind] = set(re.findall(r"`([a-z0-9_]+)`", body))
+        assert documented == {
+            "integers": cli._INT_KEYS,
+            "floats": cli._FLOAT_KEYS,
+            "strings": cli._STR_KEYS,
+            "lists": cli._LIST_KEYS,
+        }
+        assert set().union(*documented.values()) == cli._ALL_KEYS
 
 
 class TestFileFormats:
@@ -195,6 +234,25 @@ class TestSelectAndFitPipeline:
             assert len(entry["ebic"]) == 2
             assert all(v is None or math.isfinite(v) for v in entry["ebic"])
             assert entry["selected_nu0"] in (0.03, 0.06)
+
+    def test_select_nu0_uses_the_configured_edge_count_prior(self, sim_dir, tmp_path):
+        config = write_config(
+            tmp_path / "sel.conf", "nu0_grid = 0.03,0.06", "expected_edges = 40",
+            "sd_edges = 4",
+        )
+        report_path = str(tmp_path / "nu0.json")
+        assert main([
+            "select-nu0", "--config", config,
+            "--manifest", str(sim_dir / "manifest.csv"), "--out", report_path,
+        ]) == 0
+        doc = json.loads(open(report_path).read())
+        n0, t0_sq = edge_count_prior(12, 40.0, 4.0)
+        direct = line_search_nu0(
+            load_grouped_dataset(str(sim_dir / "manifest.csv")).prepare(),
+            1.0, Nu0SearchConfig(grid=(0.03, 0.06)), n0=n0, t0_sq=t0_sq,
+        )
+        for entry in doc["levels"]:
+            assert entry["ebic"] == list(direct.ebic[entry["level"]])
 
     def test_fit_accepts_selection_report(self, sim_dir, tmp_path):
         config = write_config(tmp_path / "sel.conf", "nu0_grid = 0.03,0.06")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 from scipy.linalg import cho_factor, cho_solve
 
+import ordnet.engine as engine
 from ordnet import (
     DataError,
     FitControls,
@@ -830,3 +831,39 @@ class TestFit:
         data = grouped(rng, (1, 2), 20, 3)
         with pytest.raises(DataError, match="no nu0"):
             fit(data, Hyperparameters(nu0={1: 0.05}))
+
+    def test_stage_schedule_counts(self, rng, monkeypatch):
+        levels, iterations = (1, 2, 3), 4
+        calls = {"zeta": 0, "latents": 0, "sweeps": 0}
+        inside_ridge_loop = [False]
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                if name != "sweeps" or not inside_ridge_loop[0]:
+                    calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        def flagged(*args, **kwargs):
+            inside_ridge_loop[0] = True
+            try:
+                return sweep_to_tolerance(*args, **kwargs)
+            finally:
+                inside_ridge_loop[0] = False
+
+        sweep_to_tolerance = engine._sweep_to_tolerance
+        monkeypatch.setattr(engine, "update_zeta", counting("zeta", engine.update_zeta))
+        monkeypatch.setattr(
+            engine, "update_edge_latents", counting("latents", engine.update_edge_latents)
+        )
+        monkeypatch.setattr(engine, "_cm_sweep", counting("sweeps", engine._cm_sweep))
+        monkeypatch.setattr(engine, "_sweep_to_tolerance", flagged)
+        data = grouped(rng, levels, 30, 5)
+        report = fit(
+            data, default_hyper(levels), FitControls(max_iter=iterations, min_iter=iterations)
+        )
+        assert report.iterations == iterations
+        passes = engine._BURN_IN_PASSES + engine._ANNEAL_STEPS + iterations
+        assert calls["zeta"] == passes
+        assert calls["latents"] == len(levels) * passes
+        assert calls["sweeps"] == len(levels) * (engine._ANNEAL_STEPS + iterations)
