@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import DataError, GroupedDataset
-from .engine import FitControls, Hyperparameters, VariationalState, edge_count_prior
+from .engine import FitControls, Hyperparameters, VariationalState, intercept_prior
 from .engine import fit as engine_fit
 
 
@@ -49,17 +49,14 @@ def fit_ssl(
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DataError(f"expected a 2-d data matrix, got shape {data.shape}")
-    if n0 is None or t0_sq is None:
-        n0_default, t0_default = edge_count_prior(data.shape[1])
-        n0 = n0_default if n0 is None else n0
-        t0_sq = t0_default if t0_sq is None else t0_sq
+    n0, t0_sq = intercept_prior(data.shape[1], n0, t0_sq)
     grouped = GroupedDataset(levels=(0,), data=(data,))
     hyper = Hyperparameters(
         nu0={0: float(nu0)},
         nu1=nu1,
         lambda_diag=lambda_diag,
-        n0=float(n0),
-        t0_sq=float(t0_sq),
+        n0=n0,
+        t0_sq=t0_sq,
     )
     report = engine_fit(grouped, hyper, controls, covariate_model=False)
     state = report.final_state

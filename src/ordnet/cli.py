@@ -27,7 +27,7 @@ import numpy as np
 
 from .baseline import fit_ssl
 from .core import DataError, GroupedDataset, NumericalError
-from .engine import FitControls, Hyperparameters, edge_count_prior
+from .engine import FitControls, Hyperparameters, intercept_prior
 from .engine import fit as engine_fit
 from .metrics import evaluate_fit, rank_nodes_by_beta, top_k_edge_subnetworks
 from .selection import Nu0SearchConfig, line_search_nu0
@@ -102,29 +102,25 @@ def parse_config(path: str) -> dict[str, object]:
     return config
 
 
-def _simulation_config(cfg: Mapping[str, object]) -> SimulationConfig:
-    kwargs = {}
-    for key in (
-        "p", "levels", "n_base_edges", "n_appearing", "n_disappearing",
-        "n_per_group", "partial_corr_magnitude", "jitter_margin", "seed",
-    ):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    try:
-        return SimulationConfig(**kwargs)
-    except DataError as exc:
-        raise ConfigError(f"invalid simulation settings: {exc}")
+_SIMULATION_KEYS = (
+    "p", "levels", "n_base_edges", "n_appearing", "n_disappearing", "n_per_group",
+    "partial_corr_magnitude", "jitter_margin", "seed",
+)
+_CONTROL_KEYS = ("max_iter", "elbo_rel_tol", "min_iter")
+_PRIOR_KEYS = ("n0", "t0_sq", "expected_edges", "sd_edges")
+_HYPER_KEYS = ("nu1", "lambda_diag", "alpha_sigma", "beta_sigma")
 
 
-def _fit_controls(cfg: Mapping[str, object]) -> FitControls:
-    kwargs = {}
-    for key in ("max_iter", "elbo_rel_tol", "min_iter"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+def _configured(build, cfg: Mapping[str, object], keys: Sequence[str], **given):
+    """``build(**given, **settings)`` with the settings of ``keys`` that ``cfg`` sets.
+
+    Unset keys take ``build``'s own defaults.  This is the one place where
+    a rejected setting becomes a configuration error (exit 2).
+    """
     try:
-        return FitControls(**kwargs)
+        return build(**given, **{key: cfg[key] for key in keys if key in cfg})
     except DataError as exc:
-        raise ConfigError(f"invalid fit controls: {exc}")
+        raise ConfigError(f"invalid configuration: {exc}")
 
 
 def _resolve_nu0(
@@ -145,33 +141,6 @@ def _resolve_nu0(
     if missing:
         raise ConfigError(f"no nu0 value for levels {missing}")
     return selected
-
-
-def _intercept_prior(cfg: Mapping[str, object], p: int) -> tuple[float, float]:
-    """(n0, t0_sq): the configured values, else the edge-count prior's."""
-    if "n0" in cfg and "t0_sq" in cfg:
-        return float(cfg["n0"]), float(cfg["t0_sq"])
-    n0_default, t0_default = edge_count_prior(p, cfg.get("expected_edges"), cfg.get("sd_edges"))
-    return float(cfg.get("n0", n0_default)), float(cfg.get("t0_sq", t0_default))
-
-
-def _hyperparameters(
-    cfg: Mapping[str, object], p: int, nu0: Mapping[int, float]
-) -> Hyperparameters:
-    n0, t0_sq = _intercept_prior(cfg, p)
-    try:
-        return Hyperparameters(
-            nu0=dict(nu0),
-            nu1=float(cfg.get("nu1", 1.0)),
-            lambda_diag=float(cfg.get("lambda_diag", 1.0)),
-            n0=n0,
-            t0_sq=t0_sq,
-            alpha_sigma=float(cfg.get("alpha_sigma", 2.0)),
-            beta_sigma=float(cfg.get("beta_sigma", 2.0)),
-            gamma_ebic=float(cfg.get("gamma_ebic", 0.5)),
-        )
-    except DataError as exc:
-        raise ConfigError(f"invalid hyperparameters: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +323,7 @@ def _check_output_dir(path: str) -> None:
 
 def cmd_simulate(cfg: Mapping[str, object], out_dir: str | None) -> int:
     out_dir = _require(out_dir if out_dir is not None else cfg.get("out_dir"), "--out-dir", "out_dir")
-    sim = _simulation_config(cfg)
+    sim = _configured(SimulationConfig, cfg, _SIMULATION_KEYS)
     replicates = int(cfg.get("replicates", 1))
     os.makedirs(out_dir, exist_ok=True)
     for rep in range(replicates):
@@ -383,31 +352,27 @@ def cmd_select_nu0(
     out = _require(out if out is not None else cfg.get("report_json"), "--out", "report_json")
     _check_output_dir(out)
     dataset = load_grouped_dataset(manifest).prepare()
-    nu1 = float(cfg.get("nu1", 1.0))
-    gamma = float(cfg.get("gamma_ebic", 0.5))
-    try:
-        if "nu0_grid" in cfg:
-            search = Nu0SearchConfig(grid=cfg["nu0_grid"], gamma_ebic=gamma)
-        else:
-            search = Nu0SearchConfig.for_slab(nu1, gamma_ebic=gamma)
-    except DataError as exc:
-        raise ConfigError(f"invalid nu0 grid: {exc}")
-    n0, t0_sq = _intercept_prior(cfg, dataset.p)
+    nu1 = cfg.get("nu1", Hyperparameters.nu1)
+    if "nu0_grid" in cfg:
+        search = _configured(Nu0SearchConfig, cfg, ("gamma_ebic",), grid=cfg["nu0_grid"])
+    else:
+        search = _configured(Nu0SearchConfig.for_slab, cfg, ("gamma_ebic",), nu1=nu1)
+    n0, t0_sq = _configured(intercept_prior, cfg, _PRIOR_KEYS, p=dataset.p)
     result = line_search_nu0(
         dataset,
         nu1,
         search,
-        lambda_diag=float(cfg.get("lambda_diag", 1.0)),
+        lambda_diag=cfg.get("lambda_diag", Hyperparameters.lambda_diag),
         n0=n0,
         t0_sq=t0_sq,
-        controls=_fit_controls(cfg),
+        controls=_configured(FitControls, cfg, _CONTROL_KEYS),
         workers=int(cfg.get("threads", 1)),
     )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "nu0_selection",
         "nu1": nu1,
-        "gamma_ebic": gamma,
+        "gamma_ebic": search.gamma_ebic,
         "grid": list(result.grid),
         "levels": [
             {
@@ -439,8 +404,9 @@ def cmd_fit(
     method = method if method is not None else str(cfg.get("method", "joint"))
     dataset = load_grouped_dataset(manifest).prepare()
     nu0 = _resolve_nu0(cfg, dataset.levels, nu0_report)
-    hyper = _hyperparameters(cfg, dataset.p, nu0)
-    controls = _fit_controls(cfg)
+    n0, t0_sq = _configured(intercept_prior, cfg, _PRIOR_KEYS, p=dataset.p)
+    hyper = _configured(Hyperparameters, cfg, _HYPER_KEYS, nu0=nu0, n0=n0, t0_sq=t0_sq)
+    controls = _configured(FitControls, cfg, _CONTROL_KEYS)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "fit",

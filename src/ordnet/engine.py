@@ -21,6 +21,7 @@ then the ELBO is evaluated.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -40,12 +41,14 @@ _SQRT_PI = math.sqrt(math.pi)
 # default search grid's upper endpoint is usable.
 _NU0_SLACK = 1.0 + 1e-9
 
+# Gauss-Hermite nodes for the edge-count moments over the intercept prior.
+_QUAD_NODES = 80
+
 
 def edge_count_prior(
     p: int,
     expected_edges: float | None = None,
     sd_edges: float | None = None,
-    quad_nodes: int = 80,
 ) -> tuple[float, float]:
     """Translate edge-count beliefs into probit-intercept prior parameters.
 
@@ -65,7 +68,7 @@ def edge_count_prior(
     if s0 <= 0.0:
         raise DataError("sd_edges must be positive")
     n0 = float(special.ndtri(e0 / m_edges))
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
 
     def edge_count_sd(t0_sq: float) -> float:
         zeta = n0 + _SQRT2 * math.sqrt(t0_sq) * nodes
@@ -89,6 +92,25 @@ def edge_count_prior(
     return n0, max(0.5 * (lo + hi), 0.25)
 
 
+def intercept_prior(
+    p: int,
+    n0: float | None = None,
+    t0_sq: float | None = None,
+    expected_edges: float | None = None,
+    sd_edges: float | None = None,
+) -> tuple[float, float]:
+    """The probit-intercept prior (n0, t0_sq) for p variables.
+
+    Given values are kept; any missing one comes from ``edge_count_prior``
+    with the given edge-count beliefs, which is evaluated only then.
+    """
+    if n0 is None or t0_sq is None:
+        n0_prior, t0_prior = edge_count_prior(p, expected_edges, sd_edges)
+        n0 = n0_prior if n0 is None else n0
+        t0_sq = t0_prior if t0_sq is None else t0_sq
+    return float(n0), float(t0_sq)
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     """Fixed model constants shared by all estimation routines.
@@ -99,8 +121,7 @@ class Hyperparameters:
     ``lambda_diag`` the rate of the exponential prior on diagonal precision
     entries (density (lambda/2) exp(-(lambda/2) x)); ``n0``/``t0_sq`` the
     probit-intercept prior mean/variance; ``alpha_sigma``/``beta_sigma`` the
-    Gamma prior on the coefficient-scale precision; ``gamma_ebic`` the
-    default extended-BIC weight.
+    Gamma prior on the coefficient-scale precision.
     """
 
     nu0: Mapping[int, float]
@@ -110,7 +131,6 @@ class Hyperparameters:
     t0_sq: float = 1.0
     alpha_sigma: float = 2.0
     beta_sigma: float = 2.0
-    gamma_ebic: float = 0.5
 
     def __post_init__(self) -> None:
         nu0 = {int(a): float(v) for a, v in dict(self.nu0).items()}
@@ -120,11 +140,13 @@ class Hyperparameters:
         if self.nu1 <= 0.0:
             raise DataError("nu1 must be positive")
         for a, v in nu0.items():
+            # A single-level model (the baseline's) has no level worth naming.
+            where = f" at level {a}" if len(nu0) > 1 else ""
             if v <= 0.0:
-                raise DataError(f"nu0 at level {a} must be positive")
+                raise DataError(f"nu0{where} must be positive")
             if v > self.nu1 / 10.0 * _NU0_SLACK:
                 raise DataError(
-                    f"nu0 at level {a} is {v:g}; the spike must be well separated "
+                    f"nu0{where} is {v:g}; the spike must be well separated "
                     f"from the slab (require nu0 <= nu1/10 = {self.nu1 / 10.0:g})"
                 )
         if self.lambda_diag <= 0.0:
@@ -133,8 +155,6 @@ class Hyperparameters:
             raise DataError("t0_sq must be positive")
         if self.alpha_sigma <= 0.0 or self.beta_sigma <= 0.0:
             raise DataError("alpha_sigma and beta_sigma must be positive")
-        if not 0.0 <= self.gamma_ebic <= 1.0:
-            raise DataError("gamma_ebic must lie in [0, 1]")
 
     @classmethod
     def from_edge_count_prior(
@@ -143,28 +163,19 @@ class Hyperparameters:
         levels: tuple[int, ...],
         nu0: float | Mapping[int, float],
         *,
-        nu1: float = 1.0,
-        lambda_diag: float = 1.0,
         expected_edges: float | None = None,
         sd_edges: float | None = None,
-        alpha_sigma: float = 2.0,
-        beta_sigma: float = 2.0,
-        gamma_ebic: float = 0.5,
+        **settings: float,
     ) -> "Hyperparameters":
-        """Build hyperparameters with (n0, t0_sq) elicited from edge-count beliefs."""
+        """Build hyperparameters with (n0, t0_sq) elicited from edge-count beliefs.
+
+        ``settings`` (``nu1``, ``lambda_diag``, ``alpha_sigma``,
+        ``beta_sigma``) go to the constructor unchanged.
+        """
         n0, t0_sq = edge_count_prior(p, expected_edges, sd_edges)
         if not isinstance(nu0, Mapping):
             nu0 = {int(a): float(nu0) for a in levels}
-        return cls(
-            nu0=nu0,
-            nu1=nu1,
-            lambda_diag=lambda_diag,
-            n0=n0,
-            t0_sq=t0_sq,
-            alpha_sigma=alpha_sigma,
-            beta_sigma=beta_sigma,
-            gamma_ebic=gamma_ebic,
-        )
+        return cls(nu0=nu0, n0=n0, t0_sq=t0_sq, **settings)
 
     def nu0_for(self, level: int) -> float:
         try:
@@ -222,21 +233,7 @@ class VariationalState:
         return float(self.probit_levels[self.levels.index(int(level))])
 
     def copy(self) -> "VariationalState":
-        return VariationalState(
-            levels=self.levels,
-            probit_levels=self.probit_levels.copy(),
-            omega={a: m.copy() for a, m in self.omega.items()},
-            ppi={a: m.copy() for a, m in self.ppi.items()},
-            ez={a: m.copy() for a, m in self.ez.items()},
-            ez2={a: m.copy() for a, m in self.ez2.items()},
-            zloc={a: m.copy() for a, m in self.zloc.items()},
-            zeta_mean=self.zeta_mean.copy(),
-            zeta_var=self.zeta_var.copy(),
-            beta_mean=self.beta_mean.copy(),
-            beta_var=self.beta_var.copy(),
-            sigma_shape=self.sigma_shape,
-            sigma_rate=self.sigma_rate,
-        )
+        return copy.deepcopy(self)
 
 
 @dataclass(frozen=True)

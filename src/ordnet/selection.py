@@ -16,9 +16,13 @@ import numpy as np
 
 from .baseline import SslFit, fit_ssl
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
-from .engine import FitControls, edge_count_prior, refit_precision
+from .engine import FitControls, intercept_prior, refit_precision
 
 _EDGE_EPS = 1e-8
+# Candidates in the default grid.
+_GRID_POINTS = 20
+# A fit's edge set for the extended BIC: the median-probability model.
+_EDGE_PPI = 0.5
 
 
 @dataclass(frozen=True)
@@ -41,9 +45,9 @@ class Nu0SearchConfig:
             raise DataError("gamma_ebic must lie in [0, 1]")
 
     @classmethod
-    def for_slab(cls, nu1: float = 1.0, n_points: int = 20, gamma_ebic: float = 0.5) -> "Nu0SearchConfig":
+    def for_slab(cls, nu1: float = 1.0, gamma_ebic: float = 0.5) -> "Nu0SearchConfig":
         """Default grid: log-spaced candidates from 1e-3 up to nu1/10."""
-        return cls(grid=tuple(np.geomspace(1e-3, nu1 / 10.0, n_points)), gamma_ebic=gamma_ebic)
+        return cls(grid=tuple(np.geomspace(1e-3, nu1 / 10.0, _GRID_POINTS)), gamma_ebic=gamma_ebic)
 
 
 @dataclass(frozen=True)
@@ -108,25 +112,23 @@ def ebic_for_ssl_fit(
     nu1: float = 1.0,
     lambda_diag: float = 1.0,
     gamma: float = 0.5,
-    threshold: float = 0.5,
-) -> tuple[float, int, np.ndarray]:
+) -> float:
     """Extended BIC of a fit under the median-probability edge set.
 
-    Edges are those with inclusion probability >= ``threshold``; entries
-    outside the edge set are re-shrunk to the spike before the likelihood is
-    evaluated, so the edge count and the likelihood describe the same
-    estimate.  Returns ``(ebic, n_edges, refit_omega)``.
+    Edges are those with inclusion probability >= 0.5; entries outside the
+    edge set are re-shrunk to the spike before the likelihood is evaluated,
+    so the edge count and the likelihood describe the same estimate.
     """
     data = np.asarray(data, dtype=float)
     n, p = data.shape
-    selected = fit.ppi >= threshold
+    selected = fit.ppi >= _EDGE_PPI
     np.fill_diagonal(selected, False)
     d = np.where(selected, 1.0 / (nu1 * nu1), 1.0 / (nu0 * nu0))
     scatter = sample_covariance(data)
     refit = refit_precision(fit.omega, scatter, n, d, lambda_diag)
     iu = np.triu_indices(p, 1)
     n_edges = int(np.count_nonzero(selected[iu]))
-    return ebic(refit, data, gamma, n_edges=n_edges), n_edges, refit
+    return ebic(refit, data, gamma, n_edges=n_edges)
 
 
 def line_search_nu0(
@@ -154,16 +156,13 @@ def line_search_nu0(
         raise DataError("grid values must stay below nu1")
     if not data.is_centered(1e-6):
         raise DataError("data must be column-centered; call GroupedDataset.prepare()")
-    if n0 is None or t0_sq is None:
-        n0_default, t0_default = edge_count_prior(data.p)
-        n0 = n0_default if n0 is None else n0
-        t0_sq = t0_default if t0_sq is None else t0_sq
+    n0, t0_sq = intercept_prior(data.p, n0, t0_sq)
 
     def evaluate(level: int, candidate: float) -> tuple[float, str]:
         y = data.group(level)
         try:
             fit = fit_ssl(y, candidate, nu1, lambda_diag, n0, t0_sq, controls)
-            value, _, _ = ebic_for_ssl_fit(
+            value = ebic_for_ssl_fit(
                 fit, y, nu0=candidate, nu1=nu1, lambda_diag=lambda_diag,
                 gamma=config.gamma_ebic,
             )

@@ -463,6 +463,20 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["fit", "select-nu0"])
+    @pytest.mark.parametrize("line", ["expected_edges = 2000", "sd_edges = -1"])
+    def test_out_of_range_edge_count_prior_is_config_error(
+        self, sim_dir, tmp_path, capsys, command, line
+    ):
+        # p = 12, so expected_edges must lie in (0, 66).
+        config = write_config(tmp_path / "run.conf", "nu0 = 0.04", "nu0_grid = 0.03", line)
+        code = main([
+            command, "--config", config, "--manifest", str(sim_dir / "manifest.csv"),
+            "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
     def test_missing_nu0_is_config_error(self, sim_dir, tmp_path):
         config = write_config(tmp_path / "fit.conf", "max_iter = 50")
         code = main([

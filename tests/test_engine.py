@@ -56,6 +56,9 @@ class TestEdgeCountPrior:
     def test_variance_floor(self):
         _, t0_sq = edge_count_prior(100)
         assert t0_sq == 0.25
+        # The binomial spread alone already exceeds this sd.
+        _, t0_sq = edge_count_prior(100, sd_edges=1.0)
+        assert t0_sq == 0.25
 
     def test_solved_variance_reproduces_requested_sd(self):
         p, s0 = 100, 600.0
@@ -99,8 +102,6 @@ class TestHyperparameters:
             Hyperparameters(nu0={1: 0.05}, t0_sq=0.0)
         with pytest.raises(DataError):
             Hyperparameters(nu0={1: 0.05}, lambda_diag=-1.0)
-        with pytest.raises(DataError):
-            Hyperparameters(nu0={1: 0.05}, gamma_ebic=1.5)
 
     def test_missing_level_lookup(self):
         hyper = Hyperparameters(nu0={1: 0.05})
@@ -560,6 +561,16 @@ class TestComputeElbo:
             assert terms[f"indicator_entropy[{a}]"] == pytest.approx(
                 m_edges * math.log(2.0), abs=1e-12
             )
+
+    def test_negative_determinant_gives_minus_infinity(self, rng):
+        data = grouped(rng, (1, 2), 20, 3)
+        hyper = default_hyper((1, 2))
+        state = init_state(data, hyper)
+        state.omega[1] = -np.eye(3)
+        value, terms = compute_elbo(state, hyper, data, return_terms=True)
+        assert terms["gaussian_loglik[1]"] == -np.inf
+        assert math.isfinite(terms["gaussian_loglik[2]"])
+        assert value == -np.inf
 
     def test_e_step_passes_are_monotone(self, rng):
         data = grouped(rng, (1, 2), 40, 5)

@@ -159,6 +159,19 @@ class TestLineSearchNu0:
         for a in (1, 2):
             assert serial.ebic[a] == pytest.approx(parallel.ebic[a], rel=1e-12)
 
+    def test_failed_grid_point_is_skipped_and_reported(self):
+        y_dense, y_empty = two_level_dataset()
+        data = GroupedDataset(levels=(1, 2), data=(y_dense, y_empty))
+        # 0.2 is below nu1 but not below nu1/10, so its fit is refused.
+        result = line_search_nu0(data, 1.0, Nu0SearchConfig(grid=(0.02, 0.2)))
+        assert result.selected == {1: 0.02, 2: 0.02}
+        for a in (1, 2):
+            assert math.isfinite(result.ebic[a][0])
+            assert math.isnan(result.ebic[a][1])
+            assert result.failures[a][0] == ""
+            assert "well separated" in result.failures[a][1]
+            assert "level" not in result.failures[a][1]
+
     def test_all_failures_reported_per_grid_point(self, rng, monkeypatch):
         def explode(*args, **kwargs):
             raise NumericalError("synthetic failure")
