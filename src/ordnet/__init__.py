@@ -33,6 +33,7 @@ from .engine import (
     fit,
     init_state,
     refit_precision,
+    ridge_start,
     truncated_normal_moments,
     update_beta,
     update_edge_latents,
@@ -99,6 +100,7 @@ __all__ = [
     "update_sigma",
     "cm_update_precision",
     "refit_precision",
+    "ridge_start",
     "compute_elbo",
     "fit",
     "SslFit",

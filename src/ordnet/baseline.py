@@ -39,12 +39,15 @@ def fit_ssl(
     n0: float | None = None,
     t0_sq: float | None = None,
     controls: FitControls | None = None,
+    *,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SslFit:
     """Fit the spike-and-slab graphical model to one centered data matrix.
 
     The probit index reduces to the intercept alone.  When ``n0``/``t0_sq``
     are omitted they are elicited from the default edge-count prior
-    (expected edges = p, sd = p/2).
+    (expected edges = p, sd = p/2).  ``start`` is the data's
+    ``engine.ridge_start`` result, passed to ``engine.fit`` unchanged.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -58,7 +61,10 @@ def fit_ssl(
         n0=n0,
         t0_sq=t0_sq,
     )
-    report = engine_fit(grouped, hyper, controls, covariate_model=False)
+    report = engine_fit(
+        grouped, hyper, controls, covariate_model=False,
+        start=None if start is None else {0: start},
+    )
     state = report.final_state
     return SslFit(
         omega=state.omega[0],

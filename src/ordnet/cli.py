@@ -358,11 +358,11 @@ def cmd_select_nu0(
     else:
         search = _configured(Nu0SearchConfig.for_slab, cfg, ("gamma_ebic",), nu1=nu1)
     n0, t0_sq = _configured(intercept_prior, cfg, _PRIOR_KEYS, p=dataset.p)
-    result = line_search_nu0(
-        dataset,
-        nu1,
-        search,
-        lambda_diag=cfg.get("lambda_diag", Hyperparameters.lambda_diag),
+    result = _configured(
+        line_search_nu0, cfg, ("lambda_diag",),
+        data=dataset,
+        nu1=nu1,
+        config=search,
         n0=n0,
         t0_sq=t0_sq,
         controls=_configured(FitControls, cfg, _CONTROL_KEYS),

@@ -495,8 +495,8 @@ def _cm_sweep(
         w[j, j] = 1.0 / v
 
 
-# Sweep caps and tolerances of the two sweep-to-tolerance callers: the
-# all-slab ridge start in ``fit`` and ``refit_precision``.
+# Sweep caps and tolerances of the two sweep-to-tolerance callers:
+# ``ridge_start`` and ``refit_precision``.
 _RIDGE_START_SWEEPS = 50
 _RIDGE_START_TOL = 1e-6
 _REFIT_SWEEPS = 100
@@ -521,6 +521,25 @@ def _sweep_to_tolerance(
         scale = max(1.0, float(np.max(np.abs(omega))))
         if float(np.max(np.abs(omega - before))) <= tol * scale:
             break
+
+
+def ridge_start(
+    scatter: np.ndarray, n: int, nu1: float, lambda_diag: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One level's all-slab ridge estimate and its inverse: ``fit``'s start.
+
+    Sweeps from the identity with every edge assigned the slab precision
+    1/nu1^2.  The result depends on the level's data, ``nu1`` and
+    ``lambda_diag`` only, never on the spike.  The inverse is the one the
+    sweeps carried, so a fit started from both is the fit that computes them.
+    """
+    p = scatter.shape[0]
+    omega, inverse = np.eye(p), np.eye(p)
+    slab = np.full((p, p), 1.0 / (nu1 * nu1))
+    _sweep_to_tolerance(
+        omega, inverse, scatter, n, slab, lambda_diag, _RIDGE_START_SWEEPS, _RIDGE_START_TOL
+    )
+    return omega, inverse
 
 
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
@@ -596,10 +615,13 @@ def _elbo_terms(
         nu0 = hyper.nu0_for(level)
         a_val = state.probit_level(level)
 
-        sign, logdet = np.linalg.slogdet(omega)
-        if sign <= 0:
+        # Cholesky, not the sign of a determinant: an even number of negative
+        # eigenvalues leaves the determinant positive.
+        factor, info = _POTRF(omega, lower=1, clean=0)
+        if info > 0:
             loglik = -np.inf
         else:
+            logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
             loglik = 0.5 * n * logdet - 0.5 * float(np.sum(scatter * omega)) \
                 - 0.5 * n * p * _LOG_2PI
         terms[f"gaussian_loglik[{level}]"] = loglik
@@ -706,6 +728,7 @@ def fit(
     *,
     covariate_model: bool = True,
     callback: Callable[[int, VariationalState, float], None] | None = None,
+    start: Mapping[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> FitReport:
     """Run the full variational algorithm to ELBO convergence.
 
@@ -717,6 +740,10 @@ def fit(
     by a constant; reported intercepts refer to the mean level.
 
     ``callback(iteration, state, elbo)`` runs after every full iteration.
+    ``start`` maps every level to its ``ridge_start(scatter, n, nu1,
+    lambda_diag)`` result, computed by the caller, so that fits differing
+    only in the spike can share it; the arrays are copied, never written.
+    Without it each level's ridge start is computed here.
     Raises a numerical error naming the first non-finite ELBO term if the
     objective degenerates.
 
@@ -757,13 +784,18 @@ def fit(
     raw = np.array(levels, dtype=float)
     state.probit_levels = raw - raw.mean() if covariate_model else np.zeros_like(raw)
 
-    inverses = {a: np.eye(data.p) for a in levels}
-    slab = np.full((data.p, data.p), 1.0 / (hyper.nu1 * hyper.nu1))
-    for a in levels:
-        _sweep_to_tolerance(
-            state.omega[a], inverses[a], scatters[a], ns[a], slab, hyper.lambda_diag,
-            _RIDGE_START_SWEEPS, _RIDGE_START_TOL,
+    if start is None:
+        start = {
+            a: ridge_start(scatters[a], ns[a], hyper.nu1, hyper.lambda_diag) for a in levels
+        }
+    elif sorted(int(a) for a in start) != sorted(levels):
+        raise DataError(
+            f"start has levels {sorted(start)}, the data has levels {sorted(levels)}"
         )
+    else:
+        start = {a: tuple(np.array(m, dtype=float) for m in start[a]) for a in levels}
+    state.omega = {a: start[a][0] for a in levels}
+    inverses = {a: start[a][1] for a in levels}
 
     def tempered(frac: float) -> Hyperparameters:
         # The spike on the geometric path from nu0 / _ANNEAL_SPAN (frac 0) to nu0.

@@ -3,7 +3,9 @@
 The spike standard deviation controls how aggressively small precision
 entries are shrunk to zero.  It is chosen per level by fitting the
 single-network baseline over a grid of candidates and keeping the value whose
-sparsified estimate minimises the extended BIC.
+sparsified estimate minimises the extended BIC.  Every fit of a level starts
+from the same all-slab ridge estimate, which does not depend on the spike, so
+it is computed once per level and shared by the level's grid points.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from .baseline import SslFit, fit_ssl
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
-from .engine import FitControls, intercept_prior, refit_precision
+from .engine import FitControls, Hyperparameters, intercept_prior
+from .engine import refit_precision, ridge_start
 
 _EDGE_EPS = 1e-8
 # Candidates in the default grid.
@@ -47,6 +50,8 @@ class Nu0SearchConfig:
     @classmethod
     def for_slab(cls, nu1: float = 1.0, gamma_ebic: float = 0.5) -> "Nu0SearchConfig":
         """Default grid: log-spaced candidates from 1e-3 up to nu1/10."""
+        if not nu1 > 0.0:
+            raise DataError("nu1 must be positive")
         return cls(grid=tuple(np.geomspace(1e-3, nu1 / 10.0, _GRID_POINTS)), gamma_ebic=gamma_ebic)
 
 
@@ -148,20 +153,37 @@ def line_search_nu0(
     at each grid value and the candidate minimising the extended BIC wins,
     with ties broken toward the larger value.  ``data`` must be centered.
     Grid points whose fit fails are skipped and reported; a level where every
-    point fails raises an error listing the per-point failures.
+    point fails raises an error listing the per-point failures.  The settings
+    shared by all fits are checked before the first one, with the checks of
+    ``Hyperparameters``; a bad grid value fails only its own point.
     """
+    if not data.is_centered(1e-6):
+        raise DataError("data must be column-centered; call GroupedDataset.prepare()")
+    n0, t0_sq = intercept_prior(data.p, n0, t0_sq)
+    # The ridge starts below use these settings before any fit checks them;
+    # nu1/10 stands in for the spike, which each grid fit checks itself.
+    Hyperparameters(nu0={0: nu1 / 10.0}, nu1=nu1, lambda_diag=lambda_diag, n0=n0, t0_sq=t0_sq)
     if config is None:
         config = Nu0SearchConfig.for_slab(nu1)
     if config.grid[-1] >= nu1:
         raise DataError("grid values must stay below nu1")
-    if not data.is_centered(1e-6):
-        raise DataError("data must be column-centered; call GroupedDataset.prepare()")
-    n0, t0_sq = intercept_prior(data.p, n0, t0_sq)
 
-    def evaluate(level: int, candidate: float) -> tuple[float, str]:
+    def level_start(level: int):
         y = data.group(level)
         try:
-            fit = fit_ssl(y, candidate, nu1, lambda_diag, n0, t0_sq, controls)
+            return ridge_start(sample_covariance(y), y.shape[0], nu1, lambda_diag), ""
+        except (DataError, NumericalError) as exc:
+            return None, str(exc)
+
+    starts = {a: level_start(a) for a in data.levels}
+
+    def evaluate(level: int, candidate: float) -> tuple[float, str]:
+        start, failure = starts[level]
+        if start is None:
+            return math.nan, failure
+        y = data.group(level)
+        try:
+            fit = fit_ssl(y, candidate, nu1, lambda_diag, n0, t0_sq, controls, start=start)
             value = ebic_for_ssl_fit(
                 fit, y, nu0=candidate, nu1=nu1, lambda_diag=lambda_diag,
                 gamma=config.gamma_ebic,

@@ -477,6 +477,19 @@ class TestExitCodes:
         assert code == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["nu1 = 0", "nu1 = -1", "lambda_diag = -1", "t0_sq = -1"]
+    )
+    def test_bad_select_nu0_setting_is_config_error(self, sim_dir, tmp_path, capsys, line):
+        config = write_config(tmp_path / "sel.conf", line)
+        code = main([
+            "select-nu0", "--config", config, "--manifest", str(sim_dir / "manifest.csv"),
+            "--out", str(tmp_path / "nu0.json"),
+        ])
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "nu0.json").exists()
+
     def test_missing_nu0_is_config_error(self, sim_dir, tmp_path):
         config = write_config(tmp_path / "fit.conf", "max_iter = 50")
         code = main([

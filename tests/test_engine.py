@@ -25,6 +25,7 @@ from ordnet import (
     fit_ssl,
     init_state,
     is_positive_definite,
+    ridge_start,
     sample_covariance,
     sample_mvn,
     simulate_experiment,
@@ -563,14 +564,16 @@ class TestComputeElbo:
             )
 
     def test_negative_determinant_gives_minus_infinity(self, rng):
-        data = grouped(rng, (1, 2), 20, 3)
-        hyper = default_hyper((1, 2))
-        state = init_state(data, hyper)
-        state.omega[1] = -np.eye(3)
-        value, terms = compute_elbo(state, hyper, data, return_terms=True)
-        assert terms["gaussian_loglik[1]"] == -np.inf
-        assert math.isfinite(terms["gaussian_loglik[2]"])
-        assert value == -np.inf
+        # det(-I_4) = +1: a determinant's sign alone would pass p = 4.
+        for p in (3, 4):
+            data = grouped(rng, (1, 2), 20, p)
+            hyper = default_hyper((1, 2))
+            state = init_state(data, hyper)
+            state.omega[1] = -np.eye(p)
+            value, terms = compute_elbo(state, hyper, data, return_terms=True)
+            assert terms["gaussian_loglik[1]"] == -np.inf
+            assert math.isfinite(terms["gaussian_loglik[2]"])
+            assert value == -np.inf
 
     def test_e_step_passes_are_monotone(self, rng):
         data = grouped(rng, (1, 2), 40, 5)
@@ -842,6 +845,41 @@ class TestFit:
         data = grouped(rng, (1, 2), 20, 3)
         with pytest.raises(DataError, match="no nu0"):
             fit(data, Hyperparameters(nu0={1: 0.05}))
+
+    @pytest.mark.parametrize("covariate_model", [True, False])
+    def test_shared_start_changes_nothing(self, rng, covariate_model):
+        levels = (1, 2, 3)
+        data = grouped(rng, levels, 40, 6)
+        hyper = default_hyper(levels, nu0=0.05)
+        controls = FitControls(max_iter=30, min_iter=5)
+        start = {
+            a: ridge_start(sample_covariance(y), y.shape[0], hyper.nu1, hyper.lambda_diag)
+            for a, y in zip(levels, data.data)
+        }
+        given = {a: (omega.copy(), w.copy()) for a, (omega, w) in start.items()}
+        cold = fit(data, hyper, controls, covariate_model=covariate_model)
+        shared = fit(data, hyper, controls, covariate_model=covariate_model, start=start)
+        assert shared.elbo_trace == cold.elbo_trace
+        for a in levels:
+            assert np.array_equal(shared.final_state.ppi[a], cold.final_state.ppi[a])
+            assert np.array_equal(shared.final_state.omega[a], cold.final_state.omega[a])
+            assert np.array_equal(start[a][0], given[a][0])
+            assert np.array_equal(start[a][1], given[a][1])
+
+    def test_ridge_start_returns_the_carried_inverse(self, rng):
+        y = grouped(rng, (1,), 30, 5).data[0]
+        omega, w = ridge_start(sample_covariance(y), 30, 1.0, 1.0)
+        assert is_positive_definite(omega)
+        assert np.allclose(omega @ w, np.eye(5), atol=1e-10)
+
+    def test_start_must_cover_the_levels(self, rng):
+        data = grouped(rng, (1, 2), 20, 3)
+        start = {1: ridge_start(sample_covariance(data.data[0]), 20, 1.0, 1.0)}
+        with pytest.raises(DataError, match="start has levels"):
+            fit(data, default_hyper((1, 2)), start=start)
+        start[3] = start[1]
+        with pytest.raises(DataError, match="start has levels"):
+            fit(data, default_hyper((1, 2)), start=start)
 
     def test_stage_schedule_counts(self, rng, monkeypatch):
         levels, iterations = (1, 2, 3), 4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ordnet.engine as engine_module
 import ordnet.selection as selection_module
 from ordnet import (
     DataError,
@@ -13,10 +14,13 @@ from ordnet import (
     Nu0SearchConfig,
     NumericalError,
     ebic,
+    fit_ssl,
     gaussian_log_likelihood,
     line_search_nu0,
     sample_mvn,
 )
+from ordnet.engine import intercept_prior
+from ordnet.selection import ebic_for_ssl_fit
 
 
 def centered(y):
@@ -103,6 +107,11 @@ class TestNu0SearchConfig:
         assert np.allclose(config.grid, expected, rtol=1e-12)
         assert config.gamma_ebic == 0.5
 
+    @pytest.mark.parametrize("nu1", [0.0, -1.0])
+    def test_default_grid_needs_a_positive_slab(self, nu1):
+        with pytest.raises(DataError, match="nu1 must be positive"):
+            Nu0SearchConfig.for_slab(nu1)
+
     def test_grid_validation(self):
         with pytest.raises(DataError):
             Nu0SearchConfig(grid=(0.05, 0.02))
@@ -187,3 +196,73 @@ class TestLineSearchNu0:
         data = GroupedDataset(levels=(1,), data=(y_dense,))
         with pytest.raises(DataError):
             line_search_nu0(data, 1.0, Nu0SearchConfig(grid=(0.5, 2.0)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_matches_cold_fits_with_one_ridge_start_per_level(self, monkeypatch, workers):
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return wrapper
+
+        # Patched in both modules, so a fit that rebuilt its start is counted.
+        monkeypatch.setattr(
+            selection_module, "ridge_start", counting(selection_module.ridge_start)
+        )
+        monkeypatch.setattr(engine_module, "ridge_start", counting(engine_module.ridge_start))
+        y_dense, y_empty = two_level_dataset(strong_seed=3)
+        data = GroupedDataset(levels=(1, 2), data=(y_dense, y_empty))
+        # 0.2 is refused (above nu1/10), so the failure path is compared too.
+        grid = (0.01, 0.03, 0.1, 0.2)
+        result = line_search_nu0(data, 1.0, Nu0SearchConfig(grid=grid), workers=workers)
+        assert len(calls) == 2
+
+        monkeypatch.undo()
+        n0, t0_sq = intercept_prior(data.p)
+        for a, y in zip(data.levels, data.data):
+            values, messages = [], []
+            for g in grid:
+                try:
+                    cold = fit_ssl(y, g, 1.0, 1.0, n0, t0_sq)
+                    values.append(ebic_for_ssl_fit(cold, y, nu0=g))
+                    messages.append("")
+                except (DataError, NumericalError) as exc:
+                    values.append(math.nan)
+                    messages.append(str(exc))
+            assert np.array_equal(result.ebic[a], values, equal_nan=True)
+            assert result.failures[a] == tuple(messages)
+            finite = [v for v in values if not math.isnan(v)]
+            best = max(i for i, v in enumerate(values) if v == min(finite))
+            assert result.selected[a] == grid[best]
+
+    def test_level_start_failure_fails_every_point(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NumericalError("synthetic ridge failure")
+
+        monkeypatch.setattr(selection_module, "ridge_start", explode)
+        y_dense, _ = two_level_dataset()
+        data = GroupedDataset(levels=(1,), data=(y_dense,))
+        with pytest.raises(NumericalError, match="nu0=0.05: synthetic ridge failure"):
+            line_search_nu0(data, 1.0, Nu0SearchConfig(grid=(0.02, 0.05)))
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"nu1": 0.0}, "nu1"),
+            ({"nu1": -1.0}, "nu1"),
+            ({"lambda_diag": -1.0}, "lambda_diag"),
+            ({"t0_sq": -1.0}, "t0_sq"),
+        ],
+    )
+    def test_bad_settings_are_refused_before_any_fit(self, monkeypatch, settings, key):
+        def explode(*args, **kwargs):
+            raise AssertionError("no fit may run")
+
+        monkeypatch.setattr(selection_module, "ridge_start", explode)
+        monkeypatch.setattr(selection_module, "fit_ssl", explode)
+        y_dense, _ = two_level_dataset()
+        data = GroupedDataset(levels=(1,), data=(y_dense,))
+        with pytest.raises(DataError, match=key):
+            line_search_nu0(data, config=Nu0SearchConfig(grid=(0.02, 0.05)), **settings)
