@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end command-line pipeline on a small simulated benchmark:
 # simulate -> select-nu0 -> fit (joint and single-network) -> evaluate -> rank.
-# Every command reads key = value config files; flags override config keys.
+# simulate, select-nu0 and fit read key = value config files for their settings;
+# every command names its input and output files by flags.
 set -euo pipefail
 
 workdir="$(mktemp -d)"

@@ -49,7 +49,7 @@ _FLOAT_KEYS = {
     "t0_sq", "alpha_sigma", "beta_sigma", "gamma_ebic", "elbo_rel_tol",
     "expected_edges", "sd_edges",
 }
-_STR_KEYS = {"out_dir", "manifest", "fit_json", "report_json", "method"}
+_STR_KEYS = {"method"}
 _LIST_KEYS = {"levels", "nu0_grid", "nu0"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
 
@@ -127,8 +127,12 @@ def _resolve_nu0(
     cfg: Mapping[str, object], levels: Sequence[int], report_path: str | None
 ) -> dict[int, float]:
     if report_path is not None:
+        if "nu0" in cfg:
+            raise ConfigError("set 'nu0' in the configuration or pass --nu0-report, not both")
         doc = read_json(report_path, expected_kind="nu0_selection")
-        selected = {int(a): float(v) for a, v in doc["selected"].items()}
+        selected = _field(
+            doc, report_path, "selected", lambda v: {int(a): float(x) for a, x in v.items()}
+        )
     elif "nu0" in cfg:
         value = cfg["nu0"]
         if isinstance(value, dict):
@@ -266,6 +270,8 @@ def read_json(path: str, expected_kind: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if not isinstance(version, str):
         raise DataError(f"{path}: missing schema_version field")
@@ -302,17 +308,24 @@ def truth_to_json(truth: SimulationTruth) -> dict:
 
 
 def _matrix(doc_value) -> np.ndarray:
-    return np.array(doc_value, dtype=float)
+    matrix = np.array(doc_value, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    return matrix
+
+
+def _field(doc: dict, path: str, key: str, convert):
+    """``convert(doc[key])``; a missing or malformed field is a data error."""
+    if key not in doc:
+        raise DataError(f"{path}: missing field '{key}'")
+    try:
+        return convert(doc[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed field '{key}' ({exc})")
 
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def _require(value, flag: str, key: str):
-    if value is None:
-        raise ConfigError(f"pass {flag} or set '{key}' in the configuration")
-    return value
 
 
 def _check_output_dir(path: str) -> None:
@@ -321,8 +334,7 @@ def _check_output_dir(path: str) -> None:
         raise DataError(f"output directory does not exist: {parent}")
 
 
-def cmd_simulate(cfg: Mapping[str, object], out_dir: str | None) -> int:
-    out_dir = _require(out_dir if out_dir is not None else cfg.get("out_dir"), "--out-dir", "out_dir")
+def cmd_simulate(cfg: Mapping[str, object], out_dir: str) -> int:
     sim = _configured(SimulationConfig, cfg, _SIMULATION_KEYS)
     replicates = int(cfg.get("replicates", 1))
     os.makedirs(out_dir, exist_ok=True)
@@ -345,11 +357,7 @@ def cmd_simulate(cfg: Mapping[str, object], out_dir: str | None) -> int:
     return 0
 
 
-def cmd_select_nu0(
-    cfg: Mapping[str, object], manifest: str | None, out: str | None
-) -> int:
-    manifest = _require(manifest if manifest is not None else cfg.get("manifest"), "--manifest", "manifest")
-    out = _require(out if out is not None else cfg.get("report_json"), "--out", "report_json")
+def cmd_select_nu0(cfg: Mapping[str, object], manifest: str, out: str) -> int:
     _check_output_dir(out)
     dataset = load_grouped_dataset(manifest).prepare()
     nu1 = cfg.get("nu1", Hyperparameters.nu1)
@@ -392,14 +400,8 @@ def cmd_select_nu0(
 
 
 def cmd_fit(
-    cfg: Mapping[str, object],
-    manifest: str | None,
-    out: str | None,
-    method: str | None,
-    nu0_report: str | None,
+    cfg: Mapping[str, object], manifest: str, out: str, method: str | None, nu0_report: str | None
 ) -> int:
-    manifest = _require(manifest if manifest is not None else cfg.get("manifest"), "--manifest", "manifest")
-    out = _require(out if out is not None else cfg.get("fit_json"), "--out", "fit_json")
     _check_output_dir(out)
     method = method if method is not None else str(cfg.get("method", "joint"))
     dataset = load_grouped_dataset(manifest).prepare()
@@ -416,13 +418,8 @@ def cmd_fit(
         "n": {str(a): int(n) for a, n in zip(dataset.levels, dataset.group_sizes)},
         "variable_names": list(dataset.variable_names or ()),
         "hyperparameters": {
+            **dataclasses.asdict(hyper),
             "nu0": {str(a): hyper.nu0_for(a) for a in dataset.levels},
-            "nu1": hyper.nu1,
-            "lambda_diag": hyper.lambda_diag,
-            "n0": hyper.n0,
-            "t0_sq": hyper.t0_sq,
-            "alpha_sigma": hyper.alpha_sigma,
-            "beta_sigma": hyper.beta_sigma,
         },
     }
     if method == "joint":
@@ -496,19 +493,19 @@ def cmd_evaluate(
     fit_doc = read_json(fit_path, expected_kind="fit")
     truth_doc = read_json(truth_path, expected_kind="truth")
     _check_output_dir(out_csv)
-    fit_levels = [int(a) for a in fit_doc["levels"]]
-    truth_levels = [int(a) for a in truth_doc["levels"]]
+    fit_levels = _field(fit_doc, fit_path, "levels", lambda v: [int(a) for a in v])
+    truth_levels = _field(truth_doc, truth_path, "levels", lambda v: [int(a) for a in v])
     if set(fit_levels) != set(truth_levels):
         raise DataError(
             f"levels differ between {fit_path} ({fit_levels}) and {truth_path} ({truth_levels})"
         )
-    ppi = {int(a): _matrix(m) for a, m in fit_doc["ppi"].items()}
-    adjacency = {
-        int(a): [(int(i), int(j)) for i, j in pairs]
-        for a, pairs in truth_doc["adjacency"].items()
-    }
+    ppi = _field(fit_doc, fit_path, "ppi", lambda v: {int(a): _matrix(m) for a, m in v.items()})
+    adjacency = _field(
+        truth_doc, truth_path, "adjacency",
+        lambda v: {int(a): [(int(i), int(j)) for i, j in pairs] for a, pairs in v.items()},
+    )
     report = evaluate_fit(ppi, adjacency, threshold)
-    method = fit_doc["method"]
+    method = _field(fit_doc, fit_path, "method", str)
     fresh = not (append and os.path.isfile(out_csv))
     with open(out_csv, "w" if fresh else "a", encoding="utf-8", newline="") as fh:
         if fresh:
@@ -538,7 +535,7 @@ def cmd_rank(fit_path: str, k: int, out_prefix: str) -> int:
             "fit the joint model, or compute slopes from the per-level precision "
             "estimates with ols_beta_proxy"
         )
-    beta = _matrix(fit_doc["beta_mean"])
+    beta = _field(fit_doc, fit_path, "beta_mean", _matrix)
     names = list(fit_doc.get("variable_names") or [])
     if len(names) != beta.shape[0]:
         names = [f"var{i + 1:04d}" for i in range(beta.shape[0])]
@@ -567,6 +564,20 @@ def cmd_rank(fit_path: str, k: int, out_prefix: str) -> int:
 # Entry point
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordnet",
@@ -576,21 +587,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="write benchmark datasets")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--out-dir")
+    sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=lambda a: cmd_simulate(parse_config(a.config), a.out_dir))
 
     sel = sub.add_parser("select-nu0", help="spike line search per level")
     sel.add_argument("--config", required=True)
-    sel.add_argument("--manifest")
-    sel.add_argument("--out")
+    sel.add_argument("--manifest", required=True)
+    sel.add_argument("--out", required=True)
     sel.set_defaults(
         func=lambda a: cmd_select_nu0(parse_config(a.config), a.manifest, a.out)
     )
 
     fit_p = sub.add_parser("fit", help="fit the joint or single-network model")
     fit_p.add_argument("--config", required=True)
-    fit_p.add_argument("--manifest")
-    fit_p.add_argument("--out")
+    fit_p.add_argument("--manifest", required=True)
+    fit_p.add_argument("--out", required=True)
     fit_p.add_argument("--method", choices=("joint", "ssl"))
     fit_p.add_argument("--nu0-report")
     fit_p.set_defaults(
@@ -604,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--replicate", type=int, default=0)
-    ev.add_argument("--threshold", type=float, default=0.5)
+    ev.add_argument("--threshold", type=_probability, default=0.5)
     ev.add_argument("--append", action="store_true")
     ev.set_defaults(
         func=lambda a: cmd_evaluate(
@@ -614,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = sub.add_parser("rank", help="node ranking and top-k subnetworks")
     rank.add_argument("--fit", required=True)
-    rank.add_argument("--k", type=int, default=50)
+    rank.add_argument("--k", type=_non_negative_int, default=50)
     rank.add_argument("--out-prefix", required=True)
     rank.set_defaults(func=lambda a: cmd_rank(a.fit, a.k, a.out_prefix))
     return parser

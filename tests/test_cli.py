@@ -108,7 +108,8 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "line",
         ["k = 5", "ppi_threshold = 0.5", "truth_json = t.json", "metrics_csv = m.csv",
-         "out_prefix = run"],
+         "out_prefix = run", "out_dir = data", "manifest = data/manifest.csv",
+         "fit_json = fit.json", "report_json = nu0.json"],
     )
     def test_keys_no_command_reads_are_unknown(self, tmp_path, line):
         path = write_config(tmp_path / "run.conf", line)
@@ -497,3 +498,94 @@ class TestExitCodes:
             "--out", str(tmp_path / "fit.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--out-dir"), ("select-nu0", "--manifest"), ("select-nu0", "--out"),
+         ("fit", "--manifest"), ("fit", "--out")],
+    )
+    def test_missing_file_flag_is_two(self, tmp_path, capsys, command, flag):
+        config = write_config(tmp_path / "run.conf", "nu0 = 0.04")
+        argv = {
+            "simulate": ["--out-dir", str(tmp_path / "data")],
+            "select-nu0": ["--manifest", "m.csv", "--out", str(tmp_path / "nu0.json")],
+            "fit": ["--manifest", "m.csv", "--out", str(tmp_path / "fit.json")],
+        }[command]
+        at = argv.index(flag)
+        del argv[at:at + 2]
+        assert main([command, "--config", config, *argv]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("rank", "--k", "-1"), ("evaluate", "--threshold", "2"),
+         ("evaluate", "--threshold", "nan")],
+    )
+    def test_bad_flag_value_is_two(self, sim_dir, joint_fit_doc, tmp_path, capsys,
+                                   command, flag, value):
+        argv = {
+            "rank": ["--out-prefix", str(tmp_path / "rank")],
+            "evaluate": ["--truth", str(sim_dir / "truth.json"),
+                         "--out", str(tmp_path / "metrics.csv")],
+        }[command]
+        code = main([command, "--fit", str(joint_fit_doc), *argv, flag, value])
+        assert code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([1, 2], "expected a JSON object"),
+         ({"schema_version": "1.0", "kind": "fit", "method": "joint",
+           "levels": [1, 2, 3, 4]}, "missing field 'ppi'"),
+         ({"schema_version": "1.0", "kind": "fit", "method": "joint",
+           "levels": [1, 2, 3, 4], "ppi": {str(a): [0.5, 0.5] for a in (1, 2, 3, 4)}},
+          "malformed field 'ppi'")],
+        ids=["not-an-object", "no-ppi", "ppi-not-square"],
+    )
+    def test_malformed_fit_document_is_three(self, sim_dir, tmp_path, capsys, doc, message):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "evaluate", "--fit", str(fit_path), "--truth", str(sim_dir / "truth.json"),
+            "--out", str(tmp_path / "metrics.csv"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fit_path) in err and message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([1, 2], "expected a JSON object"),
+         ({"schema_version": "1.0", "kind": "nu0_selection"}, "missing field 'selected'"),
+         ({"schema_version": "1.0", "kind": "nu0_selection", "selected": {"1": "x"}},
+          "malformed field 'selected'")],
+        ids=["not-an-object", "no-selected", "non-numeric-selected"],
+    )
+    def test_malformed_nu0_report_is_three(self, sim_dir, tmp_path, capsys, doc, message):
+        report_path = tmp_path / "nu0.json"
+        report_path.write_text(json.dumps(doc), encoding="utf-8")
+        config = write_config(tmp_path / "fit.conf", "max_iter = 5")
+        code = main([
+            "fit", "--config", config, "--manifest", str(sim_dir / "manifest.csv"),
+            "--out", str(tmp_path / "fit.json"), "--nu0-report", str(report_path),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(report_path) in err and message in err
+
+    def test_nu0_from_config_and_report_is_config_error(self, sim_dir, tmp_path, capsys):
+        report_path = str(tmp_path / "nu0.json")
+        write_json(report_path, {
+            "schema_version": "1.0", "kind": "nu0_selection",
+            "selected": {str(a): 0.04 for a in (1, 2, 3, 4)},
+        })
+        config = write_config(tmp_path / "fit.conf", "nu0 = 0.04", "max_iter = 5")
+        code = main([
+            "fit", "--config", config, "--manifest", str(sim_dir / "manifest.csv"),
+            "--out", str(tmp_path / "fit.json"), "--nu0-report", report_path,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'nu0'" in err and "--nu0-report" in err
+        assert not (tmp_path / "fit.json").exists()
