@@ -314,6 +314,12 @@ def _matrix(doc_value) -> np.ndarray:
     return matrix
 
 
+def _names(doc_value) -> list[str]:
+    if not isinstance(doc_value, list) or not all(isinstance(v, str) for v in doc_value):
+        raise ValueError("expected a list of strings")
+    return doc_value
+
+
 def _field(doc: dict, path: str, key: str, convert):
     """``convert(doc[key])``; a missing or malformed field is a data error."""
     if key not in doc:
@@ -536,7 +542,9 @@ def cmd_rank(fit_path: str, k: int, out_prefix: str) -> int:
             "estimates with ols_beta_proxy"
         )
     beta = _field(fit_doc, fit_path, "beta_mean", _matrix)
-    names = list(fit_doc.get("variable_names") or [])
+    names = []
+    if "variable_names" in fit_doc:
+        names = _field(fit_doc, fit_path, "variable_names", _names)
     if len(names) != beta.shape[0]:
         names = [f"var{i + 1:04d}" for i in range(beta.shape[0])]
     positive, negative = top_k_edge_subnetworks(beta, k)

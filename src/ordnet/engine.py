@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy import special
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
 
@@ -412,6 +412,7 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
 
 
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_SYR, _SYMV = get_blas_funcs(("syr", "symv"), dtype=np.float64)
 
 
 def _invert_pd(matrix: np.ndarray) -> np.ndarray:
@@ -449,29 +450,50 @@ def _cm_sweep(
     ``s22 A + diag(d[:, j])`` with entry (j, j) set to 1, index j is
     decoupled from the rest: its Cholesky factor is the (p-1)-block's factor
     with a unit row and column inserted at j, and with ``rhs[j] = 0`` its
-    solution is the block solution with ``u[j] = 0``.  The update therefore equals the gathered
-    solve up to the summation order inside LAPACK and BLAS.  The same
-    rank-one identity ``W = A + t t' / v`` then refreshes the whole inverse
-    in place, and row j, column j and entry (j, j) are written last.
+    solution is the block solution with ``u[j] = 0``.  The same rank-one
+    identity ``W = A + t t' / v``, with ``t = A u``, then refreshes the whole
+    inverse, and row j, column j and entry (j, j) are written last.  The
+    update equals the gathered solve up to the summation order inside
+    LAPACK and BLAS.
+
+    During the sweep W is stored in one triangle only: the lower triangle of
+    its Fortran-ordered view, which BLAS ``syr`` (both rank-one updates) and
+    ``symv`` (``t = A u``) read and write in place, and from which the
+    column system is scaled.  The other triangle goes stale and is mirrored
+    from the updated one once, after the last column, so ``w`` enters and
+    leaves full and exactly symmetric.  Because W is symmetric, a C-ordered
+    ``w`` is used through its transpose.  ``w`` must therefore be a C- or
+    Fortran-contiguous float64 array; anything else raises ``ValueError``,
+    since the BLAS wrappers would silently update a copy instead.
     """
+    if w.dtype != np.float64:
+        raise ValueError(f"the inverse must be float64, not {w.dtype}")
+    if w.flags.f_contiguous:
+        wf = w
+    elif w.flags.c_contiguous:
+        wf = w.T
+    else:
+        raise ValueError("the inverse must be C- or Fortran-contiguous")
     p = omega.shape[0]
-    outer = np.empty((p, p))
     system = np.empty((p, p))
     system_diag = system.reshape(-1)[:: p + 1]
+    wj = np.empty(p)
+    t = np.empty(p)
     cols = range(p) if columns is None else columns
     for j in cols:
-        wj = w[:, j].copy()
-        np.multiply.outer(wj, wj, out=outer)
-        outer /= wj[j]
-        w -= outer
-        w[j, :] = 0.0
-        w[:, j] = 0.0
+        # Column j of the symmetric W: row j left of the diagonal, column j
+        # from the diagonal down.
+        wj[:j] = wf[j, :j]
+        wj[j:] = wf[j:, j]
+        _SYR(-1.0 / wj[j], wj, lower=1, a=wf, overwrite_a=1)
+        wf[j, :j] = 0.0
+        wf[j:, j] = 0.0
         s22 = scatter[j, j] + lambda_diag
-        np.multiply(w, s22, out=system)
-        system_diag += d[:, j]
-        system[j, j] = 1.0
         # system is symmetric, so its transpose is the Fortran-ordered view
         # LAPACK factors in place.
+        np.multiply(wf, s22, out=system.T)
+        system_diag += d[:, j]
+        system[j, j] = 1.0
         factor, info = _POTRF(system.T, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise NumericalError(
@@ -482,17 +504,18 @@ def _cm_sweep(
         rhs[j] = 0.0
         u, _ = _POTRS(factor, rhs, lower=1, overwrite_b=1)
         u[j] = 0.0
-        t = w @ u
+        _SYMV(1.0, wf, u, y=t, lower=1, overwrite_y=1)
         v = n / s22
         omega[:, j] = u
         omega[j, :] = u
         omega[j, j] = v + float(u @ t)
-        np.multiply.outer(t, t, out=outer)
-        outer /= v
-        w += outer
-        w[:, j] = -t / v
-        w[j, :] = w[:, j]
-        w[j, j] = 1.0 / v
+        _SYR(1.0 / v, t, lower=1, a=wf, overwrite_a=1)
+        col = -t / v
+        wf[j, :j] = col[:j]
+        wf[j:, j] = col[j:]
+        wf[j, j] = 1.0 / v
+    upper = np.triu_indices(p, 1)
+    wf[upper] = wf.T[upper]
 
 
 # Sweep caps and tolerances of the two sweep-to-tolerance callers:

@@ -574,6 +574,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(report_path) in err and message in err
 
+    @pytest.mark.parametrize(
+        "names", [5, "abc", [1, 2, 3], None], ids=["int", "string", "not-strings", "null"]
+    )
+    def test_malformed_variable_names_is_three(self, joint_fit_doc, tmp_path, capsys, names):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        doc["variable_names"] = names
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["rank", "--fit", str(fit_path), "--out-prefix", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fit_path) in err and "malformed field 'variable_names'" in err
+        assert not list(tmp_path.glob("r_*"))
+
+    def test_missing_variable_names_falls_back(self, joint_fit_doc, tmp_path):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        del doc["variable_names"]
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc), encoding="utf-8")
+        prefix = str(tmp_path / "r")
+        assert main(["rank", "--fit", str(fit_path), "--k", "3", "--out-prefix", prefix]) == 0
+        rows = (tmp_path / "r_nodes.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(row.split(",")[2].startswith("var") for row in rows)
+
     def test_nu0_from_config_and_report_is_config_error(self, sim_dir, tmp_path, capsys):
         report_path = str(tmp_path / "nu0.json")
         write_json(report_path, {

@@ -533,14 +533,36 @@ class TestCmSweepKernel:
     def test_matches_gathered_block_solve(self, rng, p, subset):
         omega, w, scatter, n, d = self.random_inputs(rng, p)
         columns = rng.permutation(p)[: max(1, p // 2)].tolist() if subset else None
-        ref_omega, ref_w = omega.copy(), w.copy()
-        for _ in range(3):
-            gathered_sweep(ref_omega, ref_w, scatter, n, d, 1.3, columns)
-            _cm_sweep(omega, w, scatter, n, d, 1.3, columns)
-            for got, ref in ((omega, ref_omega), (w, ref_w)):
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-                assert np.array_equal(got, got.T)
-            assert np.max(np.abs(w @ omega - np.eye(p))) < 1e-10
+        # ``ridge_start`` hands the kernel a C-ordered inverse and
+        # ``_invert_pd`` a Fortran-ordered one.
+        for order in "CF":
+            got_omega, got_w = omega.copy(), np.array(w, order=order)
+            ref_omega, ref_w = omega.copy(), w.copy()
+            for sweep in range(3):
+                gathered_sweep(ref_omega, ref_w, scatter, n, d, 1.3, columns)
+                _cm_sweep(got_omega, got_w, scatter, n, d, 1.3, columns)
+                if sweep == 0:
+                    # The caller's own arrays carry the update, not copies.
+                    assert not np.array_equal(got_omega, omega)
+                    assert not np.array_equal(got_w, w)
+                for got, ref in ((got_omega, ref_omega), (got_w, ref_w)):
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                    assert np.array_equal(got, got.T)
+                assert np.max(np.abs(got_w @ got_omega - np.eye(p))) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["strided", "float32"])
+    def test_inverse_that_would_be_copied_raises(self, rng, kind):
+        omega, w, scatter, n, d = self.random_inputs(rng, 6)
+        if kind == "strided":
+            holder = np.zeros((12, 12))
+            holder[::2, ::2] = w
+            w = holder[::2, ::2]
+        else:
+            w = w.astype(np.float32)
+        before = omega.copy(), w.copy()
+        with pytest.raises(ValueError, match="inverse must be"):
+            _cm_sweep(omega, w, scatter, n, d, 1.3)
+        assert np.array_equal(omega, before[0]) and np.array_equal(w, before[1])
 
     def test_indefinite_column_system_raises(self, rng):
         p, n = 4, 30
