@@ -518,32 +518,9 @@ def _cm_sweep(
     wf[upper] = wf.T[upper]
 
 
-# Sweep caps and tolerances of the two sweep-to-tolerance callers:
-# ``ridge_start`` and ``refit_precision``.
-_RIDGE_START_SWEEPS = 50
-_RIDGE_START_TOL = 1e-6
-_REFIT_SWEEPS = 100
-_REFIT_TOL = 1e-8
-
-
-def _sweep_to_tolerance(
-    omega: np.ndarray,
-    w: np.ndarray,
-    scatter: np.ndarray,
-    n: int,
-    d: np.ndarray,
-    lambda_diag: float,
-    max_sweeps: int,
-    tol: float,
-) -> None:
-    """Repeat full sweeps in place until the largest entry change of a sweep
-    is at most ``tol`` times the matrix scale, or ``max_sweeps`` have run."""
-    for _ in range(max_sweeps):
-        before = omega.copy()
-        _cm_sweep(omega, w, scatter, n, d, lambda_diag)
-        scale = max(1.0, float(np.max(np.abs(omega))))
-        if float(np.max(np.abs(omega - before))) <= tol * scale:
-            break
+# Step cap and relative tolerance of the ridge start's diagonal fixed point.
+_RIDGE_STEPS = 50
+_RIDGE_TOL = 1e-12
 
 
 def ridge_start(
@@ -551,18 +528,52 @@ def ridge_start(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One level's all-slab ridge estimate and its inverse: ``fit``'s start.
 
-    Sweeps from the identity with every edge assigned the slab precision
-    1/nu1^2.  The result depends on the level's data, ``nu1`` and
-    ``lambda_diag`` only, never on the spike.  The inverse is the one the
-    sweeps carried, so a fit started from both is the fit that computes them.
+    The estimate maximises ``(n/2) log det(omega) - tr((S + lambda I)
+    omega) / 2 - (d/2) sum_{i<j} omega_ij^2``, every edge at the slab
+    precision ``d = 1/nu1^2``.  Its stationarity condition is ``n
+    inv(omega) - d omega = B(delta) := S + lambda I - d Diag(delta)``, where
+    ``delta`` is the diagonal of omega.  For a given ``delta`` it has a
+    closed form: with ``B = V diag(b) V'``, ``omega = V diag(g(b)) V'`` and
+    ``inv(omega) = V diag(1/g(b)) V'``, where ``g(b) = (sqrt(b^2 + 4dn) - b)
+    / (2d) > 0`` is the positive root of ``n/g - d g = b``.  What remains is
+    the p-dimensional fixed point ``delta = F(delta) := diag(omega(delta))``,
+    one ``eigh`` per step.  ``F`` is a contraction: its Jacobian is
+    symmetric with eigenvalues in [0, 1), because ``d |g'(b)| = (1 - b /
+    sqrt(b^2 + 4dn)) / 2 < 1``.  They approach 1 where ``B`` has
+    eigenvalues far below ``-sqrt(dn)`` (n << p with a narrow slab), and
+    there plain iteration needs thousands of steps.  Each step therefore
+    divides ``F(delta) - delta`` entrywise by one minus the Jacobian's
+    diagonal (a Newton step with the diagonal of the Jacobian, one more
+    p x p product), and stops once a step moves no diagonal entry by more
+    than 1e-12 of the largest, or after 50 steps.  Every step yields an
+    exactly positive-definite omega with its inverse, so a capped start is
+    still a valid one.  The result depends on the level's data, ``nu1``
+    and ``lambda_diag`` only, never on the spike; the inverse is
+    C-contiguous and exactly symmetric.
     """
     p = scatter.shape[0]
-    omega, inverse = np.eye(p), np.eye(p)
-    slab = np.full((p, p), 1.0 / (nu1 * nu1))
-    _sweep_to_tolerance(
-        omega, inverse, scatter, n, slab, lambda_diag, _RIDGE_START_SWEEPS, _RIDGE_START_TOL
-    )
-    return omega, inverse
+    slab = 1.0 / (nu1 * nu1)
+    system = np.array(scatter, dtype=float)
+    base = np.diag(system) + lambda_diag
+    delta = np.ones(p)
+    for _ in range(_RIDGE_STEPS):
+        np.fill_diagonal(system, base - slab * delta)
+        b, v = np.linalg.eigh(system)
+        root = np.sqrt(b * b + 4.0 * slab * n)
+        # root - b, without cancellation where b > 0.
+        gap = np.where(b > 0.0, 4.0 * slab * n / (root + b), root - b)
+        g = gap / (2.0 * slab)
+        squares = v * v
+        # The Jacobian of F is sum_kl h_kl (v_k * v_l)(v_k * v_l)' with
+        # h_kl = (gap_k + gap_l) / (2 (root_k + root_l)) in (0, 1).
+        h = (gap[:, None] + gap[None, :]) / (2.0 * (root[:, None] + root[None, :]))
+        step = (squares @ g - delta) / (1.0 - np.sum((squares @ h) * squares, axis=1))
+        if np.max(np.abs(step)) <= _RIDGE_TOL * np.max(delta):
+            break
+        delta += step
+    omega = (v * g) @ v.T
+    inverse = (v / g) @ v.T
+    return 0.5 * (omega + omega.T), 0.5 * (inverse + inverse.T)
 
 
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
@@ -598,18 +609,24 @@ def refit_precision(
     n: int,
     d: np.ndarray,
     lambda_diag: float,
-    max_sweeps: int = _REFIT_SWEEPS,
-    tol: float = _REFIT_TOL,
+    max_sweeps: int = 100,
+    tol: float = 1e-8,
 ) -> np.ndarray:
     """Iterate conditional-maximisation sweeps under a fixed prior-precision map.
 
     Used to re-shrink entries after hard edge selection: ``d`` carries slab
     precision on selected edges and spike precision elsewhere.  Stops when the
-    largest entry change falls below ``tol`` (relative to the matrix scale).
+    largest entry change of a sweep is at most ``tol`` times the matrix scale,
+    or after ``max_sweeps`` sweeps.
     """
     omega = np.asarray(omega, dtype=float).copy()
     w = _invert_pd(omega)
-    _sweep_to_tolerance(omega, w, scatter, n, d, lambda_diag, max_sweeps, tol)
+    for _ in range(max_sweeps):
+        before = omega.copy()
+        _cm_sweep(omega, w, scatter, n, d, lambda_diag)
+        scale = max(1.0, float(np.max(np.abs(omega))))
+        if float(np.max(np.abs(omega - before))) <= tol * scale:
+            break
     return omega
 
 
@@ -766,17 +783,25 @@ def fit(
     ``start`` maps every level to its ``ridge_start(scatter, n, nu1,
     lambda_diag)`` result, computed by the caller, so that fits differing
     only in the spike can share it; the arrays are copied, never written.
-    Without it each level's ridge start is computed here.
+    A start whose matrices are not p x p, or whose precision matrix is not
+    positive definite, raises ``DataError`` naming the level.  Without it
+    each level's ridge start is computed here.
     Raises a numerical error naming the first non-finite ELBO term if the
     objective degenerates.
 
     Initialisation runs in three deterministic stages before the first
-    recorded iteration.  First, each precision matrix is moved from the
-    identity to its all-slab ridge estimate (conditional-maximisation
-    sweeps with every edge assigned the slab precision 1/nu1^2): from the
-    identity the first edge-latent update would see omega = 0, assign every
-    edge to the spike, and the ascent would settle in the empty-graph
-    stationary point regardless of nu0.  Second, the latent and probit
+    recorded iteration.  First, each precision matrix is set to its
+    all-slab ridge estimate (``ridge_start``), with every edge at the slab
+    precision ``d = 1/nu1^2``: from the identity the first edge-latent
+    update would see omega = 0, assign every edge to the spike, and the
+    ascent would settle in the empty-graph stationary point regardless of
+    nu0.  The estimate solves ``n inv(omega) - d omega = S + lambda I - d
+    Diag(delta)`` with ``delta = diag(omega)``.  For a given ``delta`` the
+    right-hand side's eigendecomposition ``V diag(b) V'`` gives ``omega = V
+    diag(g(b)) V'`` with ``g(b) = (sqrt(b^2 + 4dn) - b) / (2d) > 0``, and
+    ``delta`` is the fixed point of ``delta -> diag(omega(delta))``, a
+    contraction because ``d |g'(b)| = (1 - b / sqrt(b^2 + 4dn)) / 2 < 1``;
+    no sweep runs in this stage.  Second, the latent and probit
     factors are pre-equilibrated by a few coordinate passes holding the
     precision matrices fixed, so the edge-level intercepts already pool
     evidence across levels.  Third, the spike is tightened along a short
@@ -817,6 +842,14 @@ def fit(
         )
     else:
         start = {a: tuple(np.array(m, dtype=float) for m in start[a]) for a in levels}
+        for a, (omega, inverse) in start.items():
+            if omega.shape != (data.p, data.p) or inverse.shape != (data.p, data.p):
+                raise DataError(
+                    f"start for level {a} has shapes {omega.shape} and {inverse.shape}, "
+                    f"the data has {data.p} variables"
+                )
+            if _POTRF(omega, lower=1, clean=0)[1] != 0:
+                raise DataError(f"start for level {a} is not positive definite")
     state.omega = {a: start[a][0] for a in levels}
     inverses = {a: start[a][1] for a in levels}
 

@@ -573,6 +573,56 @@ class TestCmSweepKernel:
             refit_precision(np.eye(p), scatter, n, d, 1.0)
 
 
+class TestRidgeStart:
+    @staticmethod
+    def inputs(rng, p, n):
+        return sample_covariance(rng.standard_normal((n, p)))
+
+    @staticmethod
+    def assert_valid_pair(omega, w):
+        p = omega.shape[0]
+        assert is_positive_definite(omega)
+        assert w.dtype == np.float64 and w.flags.c_contiguous
+        assert np.array_equal(w, w.T) and np.array_equal(omega, omega.T)
+        assert np.max(np.abs(w @ omega - np.eye(p))) < 1e-10
+
+    @pytest.mark.parametrize("p", [2, 12, 50])
+    @pytest.mark.parametrize("n_per_p", [3.0, 0.2])
+    @pytest.mark.parametrize("nu1", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("lambda_diag", [0.01, 1.0])
+    def test_is_the_cm_fixed_point(self, rng, p, n_per_p, nu1, lambda_diag):
+        n = max(1, int(n_per_p * p))
+        scatter = self.inputs(rng, p, n)
+        omega, w = ridge_start(scatter, n, nu1, lambda_diag)
+        self.assert_valid_pair(omega, w)
+        slab = 1.0 / (nu1 * nu1)
+        offdiag = omega - np.diag(np.diag(omega))
+        base = scatter + lambda_diag * np.eye(p)
+        residual = n * w - base - slab * offdiag
+        scale = max(np.max(np.abs(base)), np.max(np.abs(n * w)), slab * np.max(np.abs(omega)))
+        assert np.max(np.abs(residual)) <= 1e-11 * scale
+        # Sweeping from the result must leave it where it is.
+        ref_omega, ref_w = omega.copy(), w.copy()
+        for _ in range(200):
+            before = ref_omega.copy()
+            _cm_sweep(ref_omega, ref_w, scatter, n, np.full((p, p), slab), lambda_diag)
+            if np.max(np.abs(ref_omega - before)) <= 1e-15 * np.max(np.abs(ref_omega)):
+                break
+        assert np.max(np.abs(omega - ref_omega)) <= 1e-10 * np.max(np.abs(ref_omega))
+
+    def test_capped_start_is_still_a_valid_pair(self, rng, monkeypatch):
+        # n << p with a narrow slab: the setting where plain fixed-point
+        # iteration needs thousands of steps.
+        p, n, nu1 = 50, 10, 0.1
+        scatter = self.inputs(rng, p, n)
+        monkeypatch.setattr(engine, "_RIDGE_STEPS", 2)
+        omega, w = ridge_start(scatter, n, nu1, 1.0)
+        self.assert_valid_pair(omega, w)
+        monkeypatch.undo()
+        converged, _ = ridge_start(scatter, n, nu1, 1.0)
+        assert np.max(np.abs(omega - converged)) > 1e-3 * np.max(np.abs(converged))
+
+
 class TestComputeElbo:
     def test_indicator_entropy_at_half(self, rng):
         data = grouped(rng, (1, 2), 20, 4)
@@ -903,32 +953,40 @@ class TestFit:
         with pytest.raises(DataError, match="start has levels"):
             fit(data, default_hyper((1, 2)), start=start)
 
+    def test_start_of_the_wrong_shape_is_refused(self, rng):
+        data = grouped(rng, (1, 2), 20, 5)
+        start = {
+            a: ridge_start(sample_covariance(y), 20, 1.0, 1.0) for a, y in zip((1, 2), data.data)
+        }
+        for bad in ((np.eye(6), np.eye(6)), (start[2][0], np.eye(6)), (np.ones(5), np.eye(5))):
+            with pytest.raises(DataError, match="start for level 2 has shapes"):
+                fit(data, default_hyper((1, 2)), start={**start, 2: bad})
+
+    def test_indefinite_start_is_refused(self, rng):
+        data = grouped(rng, (1, 2), 20, 5)
+        start = {
+            a: ridge_start(sample_covariance(y), 20, 1.0, 1.0) for a, y in zip((1, 2), data.data)
+        }
+        start[1] = (-np.eye(5), -np.eye(5))
+        with pytest.raises(DataError, match="start for level 1 is not positive definite"):
+            fit(data, default_hyper((1, 2)), start=start)
+
     def test_stage_schedule_counts(self, rng, monkeypatch):
+        # The ridge start sweeps nothing, so every sweep of a fit is counted.
         levels, iterations = (1, 2, 3), 4
         calls = {"zeta": 0, "latents": 0, "sweeps": 0}
-        inside_ridge_loop = [False]
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
-                if name != "sweeps" or not inside_ridge_loop[0]:
-                    calls[name] += 1
+                calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        def flagged(*args, **kwargs):
-            inside_ridge_loop[0] = True
-            try:
-                return sweep_to_tolerance(*args, **kwargs)
-            finally:
-                inside_ridge_loop[0] = False
-
-        sweep_to_tolerance = engine._sweep_to_tolerance
         monkeypatch.setattr(engine, "update_zeta", counting("zeta", engine.update_zeta))
         monkeypatch.setattr(
             engine, "update_edge_latents", counting("latents", engine.update_edge_latents)
         )
         monkeypatch.setattr(engine, "_cm_sweep", counting("sweeps", engine._cm_sweep))
-        monkeypatch.setattr(engine, "_sweep_to_tolerance", flagged)
         data = grouped(rng, levels, 30, 5)
         report = fit(
             data, default_hyper(levels), FitControls(max_iter=iterations, min_iter=iterations)
