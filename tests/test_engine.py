@@ -483,8 +483,112 @@ class TestRefitPrecision:
         d = np.full((p, p), 1.0)
         omega = refit_precision(np.eye(p), scatter, n, d, 1.0)
         assert is_positive_definite(omega)
-        again = refit_precision(omega, scatter, n, d, 1.0, max_sweeps=1)
+        again = refit_precision(omega, scatter, n, d, 1.0, max_steps=1)
         assert np.max(np.abs(again - omega)) < 1e-6
+
+    def test_equivariant_under_data_scale(self, rng):
+        # Data times c maps the problem to omega / c^2 under lambda c^2 and
+        # d c^4; the stop rule must not depend on c.
+        n, p, lambda_diag = 20, 30, 1.0
+        y = rng.standard_normal((n, p))
+        scatter = sample_covariance(y - y.mean(axis=0))
+        d = np.ones((p, p))
+        reference = refit_precision(np.eye(p), scatter, n, d, lambda_diag)
+        c2 = 100.0**2
+        scaled = refit_precision(np.eye(p) / c2, c2 * scatter, n, d * c2 * c2, lambda_diag * c2)
+        assert np.max(np.abs(c2 * scaled - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+def precision_objective(omega, scatter, n, d, lambda_diag):
+    """f(omega) of the precision update, from numpy's Cholesky factor."""
+    chol = np.linalg.cholesky(omega)
+    off = d * (1.0 - np.eye(len(omega)))
+    return (
+        n * float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * float(np.sum((scatter + lambda_diag * np.eye(len(omega))) * omega))
+        - 0.25 * float(np.sum(off * omega * omega))
+    )
+
+
+def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
+    """Sweep from omega until a sweep no longer moves it: the CM fixed point."""
+    omega = omega.copy()
+    w = np.array(np.linalg.inv(omega), order="F")
+    w = 0.5 * (w + w.T)
+    for _ in range(5000):
+        before = omega.copy()
+        _cm_sweep(omega, w, scatter, n, d, lambda_diag)
+        if np.max(np.abs(omega - before)) <= 1e-15 * np.max(np.abs(omega)):
+            break
+    return omega
+
+
+class TestNewtonStep:
+    @staticmethod
+    def inputs(rng, p, n, nu0):
+        y = rng.standard_normal((n, p))
+        scatter = sample_covariance(y - y.mean(axis=0))
+        ppi = rng.uniform(0.0, 1.0, size=(p, p))
+        ppi = 0.5 * (ppi + ppi.T)
+        d = ppi + (1.0 - ppi) / nu0**2
+        base = rng.standard_normal((p, p))
+        omega = base @ base.T / p + np.eye(p)
+        return 0.5 * (omega + omega.T), scatter, d
+
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    @pytest.mark.parametrize("n_per_p", [3.0, 0.3])
+    @pytest.mark.parametrize("nu0", [0.01, 0.05, 0.1])
+    def test_ascends_to_the_cm_fixed_point(self, rng, p, n_per_p, nu0):
+        n = max(2, int(n_per_p * p))
+        omega, scatter, d = self.inputs(rng, p, n, nu0)
+        value = precision_objective(omega, scatter, n, d, 1.3)
+        for _ in range(5):
+            before = omega.copy()
+            omega = engine._newton_step(omega, scatter, n, d, 1.3)
+            assert np.array_equal(omega, omega.T) and is_positive_definite(omega)
+            after = precision_objective(omega, scatter, n, d, 1.3)
+            assert after >= value - 1e-12 * abs(value)
+            assert not np.shares_memory(omega, before)
+            value = after
+        refit = refit_precision(omega, scatter, n, d, 1.3)
+        reference = sweep_fixed_point(refit, scatter, n, d, 1.3)
+        assert np.max(np.abs(refit - reference)) <= 1e-7 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("above", [1.9, 1000.0])
+    def test_line_search_shortens_an_overshooting_step(self, rng, above):
+        # Started above the diagonal optimum n / (s_jj + lambda), the full
+        # Newton step lowers f (at 1.9 times it) or leaves the positive
+        # definite cone (at 1000 times); the accepted step must still ascend.
+        p, n = 12, 36
+        _, scatter, _ = self.inputs(rng, p, n, 0.05)
+        d = np.full((p, p), 1.0 / 0.05**2)
+        omega = above * np.diag(n / (np.diag(scatter) + 1.0))
+        value = precision_objective(omega, scatter, n, d, 1.0)
+        stepped = engine._newton_step(omega, scatter, n, d, 1.0)
+        assert is_positive_definite(stepped)
+        assert precision_objective(stepped, scatter, n, d, 1.0) > value
+
+    def test_leaves_its_input_alone(self, rng):
+        omega, scatter, d = self.inputs(rng, 8, 30, 0.05)
+        given = omega.copy()
+        engine._newton_step(omega, scatter, 30, d, 1.0)
+        assert np.array_equal(omega, given)
+
+    def test_indefinite_system_raises_inside_cg(self, rng):
+        # Every entry of the preconditioner stays positive, so only the CG
+        # curvature check can see that the system is indefinite.
+        p, n = 6, 40
+        omega, scatter, _ = self.inputs(rng, p, n, 0.05)
+        w = np.linalg.inv(omega)
+        w_diag = np.diag(w)
+        d = -0.9 * n * (np.outer(w_diag, w_diag) + w * w)
+        with pytest.raises(NumericalError, match="indefinite Newton system"):
+            engine._newton_step(omega, scatter, n, d, 1.0)
+
+    def test_non_positive_definite_input_raises(self, rng):
+        _, scatter, d = self.inputs(rng, 5, 30, 0.05)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            engine._newton_step(-np.eye(5), scatter, 30, d, 1.0)
 
 
 def gathered_sweep(omega, w, scatter, n, d, lambda_diag, columns=None):
@@ -533,8 +637,8 @@ class TestCmSweepKernel:
     def test_matches_gathered_block_solve(self, rng, p, subset):
         omega, w, scatter, n, d = self.random_inputs(rng, p)
         columns = rng.permutation(p)[: max(1, p // 2)].tolist() if subset else None
-        # ``ridge_start`` hands the kernel a C-ordered inverse and
-        # ``_invert_pd`` a Fortran-ordered one.
+        # The kernel takes a C-ordered inverse and a Fortran-ordered one
+        # (``_invert_pd`` gives the latter).
         for order in "CF":
             got_omega, got_w = omega.copy(), np.array(w, order=order)
             ref_omega, ref_w = omega.copy(), w.copy()
@@ -569,7 +673,7 @@ class TestCmSweepKernel:
         y = rng.standard_normal((n, p))
         scatter = sample_covariance(y - y.mean(axis=0))
         d = np.full((p, p), -1e3)
-        with pytest.raises(NumericalError, match="singular column system"):
+        with pytest.raises(NumericalError, match="indefinite Newton system"):
             refit_precision(np.eye(p), scatter, n, d, 1.0)
 
 
@@ -609,6 +713,25 @@ class TestRidgeStart:
             if np.max(np.abs(ref_omega - before)) <= 1e-15 * np.max(np.abs(ref_omega)):
                 break
         assert np.max(np.abs(omega - ref_omega)) <= 1e-10 * np.max(np.abs(ref_omega))
+
+    def test_stops_when_the_step_stalls(self, rng, monkeypatch):
+        # Data on a small scale with a tiny lambda: the step stalls at
+        # rounding level far above 1e-12 of the diagonal.
+        p, n = 10, 30
+        y = 0.01 * rng.standard_normal((n, p))
+        scatter = sample_covariance(y - y.mean(axis=0))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        omega, w = ridge_start(scatter, n, 0.1, 0.001)
+        monkeypatch.undo()
+        self.assert_valid_pair(omega, w)
+        assert len(calls) <= 25 < engine._RIDGE_STEPS
 
     def test_capped_start_is_still_a_valid_pair(self, rng, monkeypatch):
         # n << p with a narrow slab: the setting where plain fixed-point
@@ -972,9 +1095,10 @@ class TestFit:
             fit(data, default_hyper((1, 2)), start=start)
 
     def test_stage_schedule_counts(self, rng, monkeypatch):
-        # The ridge start sweeps nothing, so every sweep of a fit is counted.
+        # One Newton step per level in every pass after the burn-in; a fit
+        # never sweeps.
         levels, iterations = (1, 2, 3), 4
-        calls = {"zeta": 0, "latents": 0, "sweeps": 0}
+        calls = {"zeta": 0, "latents": 0, "steps": 0, "sweeps": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -986,6 +1110,7 @@ class TestFit:
         monkeypatch.setattr(
             engine, "update_edge_latents", counting("latents", engine.update_edge_latents)
         )
+        monkeypatch.setattr(engine, "_newton_step", counting("steps", engine._newton_step))
         monkeypatch.setattr(engine, "_cm_sweep", counting("sweeps", engine._cm_sweep))
         data = grouped(rng, levels, 30, 5)
         report = fit(
@@ -995,4 +1120,5 @@ class TestFit:
         passes = engine._BURN_IN_PASSES + engine._ANNEAL_STEPS + iterations
         assert calls["zeta"] == passes
         assert calls["latents"] == len(levels) * passes
-        assert calls["sweeps"] == len(levels) * (engine._ANNEAL_STEPS + iterations)
+        assert calls["steps"] == len(levels) * (engine._ANNEAL_STEPS + iterations)
+        assert calls["sweeps"] == 0

@@ -10,15 +10,17 @@ from ordnet import (
 )
 
 # Reference values of the design below, recorded with one BLAS thread.  At
-# 60 samples per level for 30 variables the fit depends on its start and
-# spike schedule, so the test tells results apart: a loose ridge start
-# (sweeps stopped once a sweep changes no entry by more than 1e-3 of the
-# matrix scale) lowers the final ELBO by 4e-6 of its magnitude, and dropping
-# the anneal moves level AUCs by 0.02, while scaling the data by 1 + 1e-11
-# noise moves the ELBO by 2e-13 and no AUC at all.
-REFERENCE_ELBO = -8539.939664597678
+# 60 samples per level for 30 variables the fit depends on its start, spike
+# schedule and precision update, so the test tells results apart.  With the
+# column-wise CM sweep as the precision update the fit ended 39 nats lower
+# (-8539.94) with every level's AUC 0.007-0.013 lower; on that path a loose
+# ridge start (1e-3 of the matrix scale short) lowered the final ELBO by
+# 4e-6 of its magnitude and dropping the anneal moved level AUCs by 0.02,
+# while scaling the data by 1 + 1e-11 noise moved the ELBO by 2e-13 and no
+# AUC at all.
+REFERENCE_ELBO = -8500.782408304825
 REFERENCE_AUC = {
-    1: 0.752880658436214, 2: 0.6624501424501424, 3: 0.6258689458689458, 4: 0.766872427983539,
+    1: 0.7595061728395062, 2: 0.6732478632478632, 3: 0.6367806267806267, 4: 0.7796707818930041,
 }
 ELBO_REL_TOL = 1e-6
 AUC_TOL = 0.005
