@@ -25,6 +25,7 @@ then the ELBO is evaluated.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -282,19 +283,74 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _triangle(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the strict upper triangle of a p x p matrix, and of
+    its mirror image, in ``np.triu_indices`` order.  Read-only, since every
+    caller with the same p shares them."""
+    rows, cols = np.triu_indices(p, 1)
+    upper, lower = rows * p + cols, cols * p + rows
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
+def _symmetric(values: np.ndarray, p: int, diagonal: float) -> np.ndarray:
+    """The symmetric p x p matrix with ``values`` on both triangles."""
+    upper, lower = _triangle(p)
+    out = np.full((p, p), diagonal)
+    flat = out.reshape(-1)
+    flat[upper] = values
+    flat[lower] = values
+    return out
+
+
+def _probit_tails(
+    m: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Hazards and log-probabilities of both sides of zero under N(m, 1).
+
+    Returns ``(h_pos, h_neg, log_pos, log_neg)`` with h_pos = phi(m)/Phi(m),
+    h_neg = phi(m)/Phi(-m), log_pos = log Phi(m) and log_neg = log Phi(-m),
+    all from one s = erfcx(|m|/sqrt 2) and g = exp(-m^2/2).  The near tail,
+    whose probability is Phi(-|m|) = s g / 2, has hazard sqrt(2/pi)/s and
+    log-probability log(s/2) - m^2/2; the far tail has hazard
+    sqrt(2/pi) g/(2 - s g) and log-probability log1p(-s g/2).  No step
+    overflows or divides by zero at any finite m; g may underflow to 0,
+    which is its correct value there, and then the far hazard is 0.
+    """
+    half_sq = 0.5 * m * m
+    s = special.erfcx(np.abs(m) / _SQRT2)
+    with np.errstate(under="ignore"):
+        g = np.exp(-half_sq)
+        sg = s * g
+        far_hazard = _SQRT_2_OVER_PI * g / (2.0 - sg)
+        far_log = np.log1p(-0.5 * sg)
+    near_hazard = _SQRT_2_OVER_PI / s
+    near_log = np.log(0.5 * s) - half_sq
+    above = m >= 0.0  # the far tail lies above zero
+    return (
+        np.where(above, far_hazard, near_hazard),
+        np.where(above, near_hazard, far_hazard),
+        np.where(above, far_log, near_log),
+        np.where(above, near_log, far_log),
+    )
+
+
 def truncated_normal_moments(
     location: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Moments of a unit-variance Gaussian truncated at 0, by truncation side.
 
     Returns ``(mean_above0, mean_below0, var_above0, var_below0)`` for a
-    parent Gaussian with the given location.  Uses the scaled complementary
-    error function, so the results stay finite and accurate for locations of
-    magnitude up to about 38.
+    parent Gaussian with the given location m: the means are m + h_pos and
+    m - h_neg, the variances 1 - h_pos (h_pos + m) and 1 - h_neg (h_neg - m),
+    with both hazards from one ``erfcx`` call (``_probit_tails``).  The
+    results stay finite and accurate for locations of magnitude up to about
+    38.
     """
     m = np.asarray(location, dtype=float)
-    hazard_pos = _SQRT_2_OVER_PI / special.erfcx(-m / _SQRT2)
-    hazard_neg = _SQRT_2_OVER_PI / special.erfcx(m / _SQRT2)
+    hazard_pos, hazard_neg, _, _ = _probit_tails(m)
     mean_above = m + hazard_pos
     mean_below = m - hazard_neg
     var_above = 1.0 - hazard_pos * (hazard_pos + m)
@@ -307,20 +363,21 @@ def _edge_latent_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal joint factor for the edge indicator and its latent threshold.
 
-    ``m`` is the probit index E[zeta] + a E[beta].  Returns the inclusion
-    probability p*, E[z] and E[z^2].  The slab/spike posterior odds are
-    formed in log space, so extreme density ratios cannot overflow.
+    ``m`` is the probit index E[zeta] + a E[beta], on any shape that
+    ``omega`` has.  Returns the inclusion probability p*, E[z] and E[z^2].
+    The slab/spike posterior odds are formed in log space, so extreme
+    density ratios cannot overflow.  Hazards and log Phi(+-m) come from one
+    ``erfcx`` per entry (``_probit_tails``); E[z] = m + p* h_pos
+    - (1 - p*) h_neg, and since E[z^2] = 1 + m E[z] on each side of zero,
+    E[z^2] = 1 + m E[z].
     """
+    h_pos, h_neg, log_pos, log_neg = _probit_tails(m)
     om_sq = omega * omega
-    log_slab = -math.log(nu1) - om_sq / (2.0 * nu1 * nu1) + special.log_ndtr(m)
-    log_spike = -math.log(nu0) - om_sq / (2.0 * nu0 * nu0) + special.log_ndtr(-m)
+    log_slab = -math.log(nu1) - om_sq / (2.0 * nu1 * nu1) + log_pos
+    log_spike = -math.log(nu0) - om_sq / (2.0 * nu0 * nu0) + log_neg
     p = special.expit(log_slab - log_spike)
-    mean_above, mean_below, var_above, var_below = truncated_normal_moments(m)
-    ez = p * mean_above + (1.0 - p) * mean_below
-    ez2 = p * (var_above + mean_above * mean_above) + (1.0 - p) * (
-        var_below + mean_below * mean_below
-    )
-    return p, ez, ez2
+    ez = m + p * h_pos - (1.0 - p) * h_neg
+    return p, ez, 1.0 + m * ez
 
 
 def update_edge_latents(
@@ -328,21 +385,24 @@ def update_edge_latents(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refresh p*, E[z] and E[z^2] for one level, in place.
 
-    Also stores the probit index as the level's new truncation location.
-    Returns the updated ``(ppi, ez, ez2)`` matrices.
+    Reads the precision matrix and the probit index on the upper triangle
+    only and writes exactly symmetric matrices, with diagonals 0, 0 and 1.
+    Also stores the full probit index as the level's new truncation
+    location.  Returns the updated ``(ppi, ez, ez2)`` matrices.
     """
     level = int(level)
+    p = state.p
+    upper, _ = _triangle(p)
     a_val = state.probit_level(level)
     m = state.zeta_mean + a_val * state.beta_mean
-    p, ez, ez2 = _edge_latent_core(state.omega[level], m, hyper.nu0_for(level), hyper.nu1)
-    np.fill_diagonal(p, 0.0)
-    np.fill_diagonal(ez, 0.0)
-    np.fill_diagonal(ez2, 1.0)
-    state.ppi[level] = p
-    state.ez[level] = ez
-    state.ez2[level] = ez2
+    ppi, ez, ez2 = _edge_latent_core(
+        state.omega[level].take(upper), m.take(upper), hyper.nu0_for(level), hyper.nu1
+    )
+    state.ppi[level] = ppi = _symmetric(ppi, p, 0.0)
+    state.ez[level] = ez = _symmetric(ez, p, 0.0)
+    state.ez2[level] = ez2 = _symmetric(ez2, p, 1.0)
     state.zloc[level] = m
-    return p, ez, ez2
+    return ppi, ez, ez2
 
 
 def _zeta_update_core(ez_stack, beta_mean, levels, n0, t0_sq):
@@ -403,11 +463,11 @@ def update_beta(
 def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float, float]:
     """Optimal Gamma factor for the shared coefficient-scale precision."""
     p = state.p
-    iu = np.triu_indices(p, 1)
+    upper, _ = _triangle(p)
     m_edges = p * (p - 1) / 2.0
     shape = hyper.alpha_sigma + m_edges / 2.0
     rate = hyper.beta_sigma + 0.5 * float(
-        np.sum(state.beta_mean[iu] ** 2 + state.beta_var[iu])
+        np.sum(state.beta_mean.take(upper) ** 2 + state.beta_var.take(upper))
     )
     state.sigma_shape = shape
     state.sigma_rate = rate
@@ -754,12 +814,19 @@ def _elbo_terms(
     """All named ELBO contributions; their sum is the ELBO.
 
     No parameter-dependent term is dropped and constants are kept, so traces
-    are comparable across iterations of one fit.
+    are comparable across iterations of one fit.  Every edge term is read on
+    the upper triangle.  The latent-threshold entropy takes hazards and
+    log Phi(+-m) at the stored truncation location from one ``erfcx`` per
+    pair (``_probit_tails``), and E[(z - m)^2] = 1 - m h_pos above zero and
+    1 + m h_neg below.  Nothing is carried over from ``update_edge_latents``,
+    so the ELBO stays a function of the state alone.
     """
     p = state.p
-    iu = np.triu_indices(p, 1)
+    upper, _ = _triangle(p)
     m_edges = p * (p - 1) / 2.0
     log_nu1 = math.log(hyper.nu1)
+    zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)
+    bm, bv = state.beta_mean.take(upper), state.beta_var.take(upper)
     terms: dict[str, float] = {}
 
     for level in state.levels:
@@ -780,8 +847,8 @@ def _elbo_terms(
                 - 0.5 * n * p * _LOG_2PI
         terms[f"gaussian_loglik[{level}]"] = loglik
 
-        pstar = state.ppi[level][iu]
-        om = omega[iu]
+        pstar = state.ppi[level].take(upper)
+        om = omega.take(upper)
         d = _expected_prior_precision(pstar, nu0, hyper.nu1)
         terms[f"edge_prior[{level}]"] = float(
             np.sum(
@@ -793,19 +860,18 @@ def _elbo_terms(
         terms[f"diagonal_prior[{level}]"] = p * math.log(hyper.lambda_diag / 2.0) \
             - 0.5 * hyper.lambda_diag * float(np.trace(omega))
 
-        ez = state.ez[level][iu]
-        ez2 = state.ez2[level][iu]
-        m_q = state.zloc[level][iu]
-        m_bar = (state.zeta_mean + a_val * state.beta_mean)[iu]
-        index_var = state.zeta_var[iu] + a_val * a_val * state.beta_var[iu]
+        ez = state.ez[level].take(upper)
+        ez2 = state.ez2[level].take(upper)
+        m_q = state.zloc[level].take(upper)
+        m_bar = zm + a_val * bm
+        index_var = zv + a_val * a_val * bv
         sq = ez2 - 2.0 * ez * m_bar + m_bar * m_bar + index_var
         terms[f"latent_loglik[{level}]"] = float(np.sum(-0.5 * _LOG_2PI - 0.5 * sq))
 
-        mean_above, mean_below, var_above, var_below = truncated_normal_moments(m_q)
-        e_logq_above = -0.5 * _LOG_2PI - 0.5 * (var_above + (mean_above - m_q) ** 2) \
-            - special.log_ndtr(m_q)
-        e_logq_below = -0.5 * _LOG_2PI - 0.5 * (var_below + (mean_below - m_q) ** 2) \
-            - special.log_ndtr(-m_q)
+        # E[(z - m)^2] is 1 - m h_pos above zero and 1 + m h_neg below.
+        h_pos, h_neg, log_pos, log_neg = _probit_tails(m_q)
+        e_logq_above = -0.5 * _LOG_2PI - 0.5 * (1.0 - m_q * h_pos) - log_pos
+        e_logq_below = -0.5 * _LOG_2PI - 0.5 * (1.0 + m_q * h_neg) - log_neg
         terms[f"latent_entropy[{level}]"] = float(
             -np.sum(pstar * e_logq_above + (1.0 - pstar) * e_logq_below)
         )
@@ -813,8 +879,6 @@ def _elbo_terms(
             -np.sum(special.xlogy(pstar, pstar) + special.xlogy(1.0 - pstar, 1.0 - pstar))
         )
 
-    zm = state.zeta_mean[iu]
-    zv = state.zeta_var[iu]
     terms["zeta_prior"] = float(
         np.sum(
             -0.5 * math.log(2.0 * math.pi * hyper.t0_sq)
@@ -827,8 +891,6 @@ def _elbo_terms(
         shape, rate = state.sigma_shape, state.sigma_rate
         e_prec = shape / rate
         e_log_prec = float(special.digamma(shape)) - math.log(rate)
-        bm = state.beta_mean[iu]
-        bv = state.beta_var[iu]
         terms["beta_prior"] = float(
             np.sum(-0.5 * _LOG_2PI + 0.5 * e_log_prec - 0.5 * e_prec * (bm * bm + bv))
         )

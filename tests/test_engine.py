@@ -35,7 +35,7 @@ from ordnet import (
     update_sigma,
     update_zeta,
 )
-from ordnet.engine import _cm_sweep, refit_precision
+from ordnet.engine import _LOG_2PI, _SQRT_2_OVER_PI, _cm_sweep, refit_precision
 
 
 def grouped(rng, levels, n, p):
@@ -197,6 +197,39 @@ class TestTruncatedNormalMoments:
         assert var_above > 0.0 and var_below > 0.0
 
 
+class TestProbitTails:
+    GRID = np.concatenate([np.linspace(-38.0, 38.0, 761), [0.0, -0.0, 40.0, -40.0]])
+
+    def test_log_probabilities_match_log_ndtr(self):
+        _, _, log_pos, log_neg = engine._probit_tails(self.GRID)
+        np.testing.assert_allclose(log_pos, special.log_ndtr(self.GRID), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(log_neg, special.log_ndtr(-self.GRID), rtol=0.0, atol=1e-12)
+
+    def test_hazards_match_erfcx_ratios(self):
+        m = self.GRID
+        h_pos, h_neg, _, _ = engine._probit_tails(m)
+        # Near-side hazards are the same ratio the reference forms.  A
+        # far-side reference inverts erfcx(-|m|/sqrt 2) ~ 2 exp(m^2/2), whose
+        # rounding error grows like m^2 eps: it exceeds 1e-14 past |m| = 8,
+        # and past |m| = 37.6 it overflows and gives 0 for a hazard below
+        # 1e-300.
+        rtol = np.where(np.abs(m) <= 8.0, 1e-14, 4e-16 * m * m)
+        for hazard, sign in ((h_pos, -1.0), (h_neg, 1.0)):
+            ref = _SQRT_2_OVER_PI / special.erfcx(sign * m / math.sqrt(2.0))
+            assert np.all(np.abs(hazard - ref) <= rtol * ref + 1e-300)
+
+    def test_finite_and_silent_at_the_extremes(self):
+        with np.errstate(all="raise"):
+            out = engine._probit_tails(self.GRID)
+        for piece in out:
+            assert np.all(np.isfinite(piece))
+        h_pos, h_neg, log_pos, log_neg = (piece[-1] for piece in out)
+        # At m = -40 the far tail holds all the mass: its hazard underflows to 0.
+        assert h_neg == 0.0 and log_neg == 0.0
+        assert h_pos == pytest.approx(40.0, rel=1e-3)
+        assert log_pos == pytest.approx(special.log_ndtr(-40.0), abs=1e-12)
+
+
 def one_level_state(rng, p=3, level=0, nu0=0.05, **hyper_kwargs):
     data = grouped(rng, (level,), 30, p)
     hyper = default_hyper((level,), nu0=nu0, **hyper_kwargs)
@@ -250,6 +283,121 @@ class TestUpdateEdgeLatents:
         assert np.all(np.diag(ez) == 0.0)
         assert np.all(np.diag(ez2) == 1.0)
         assert np.all(state.zloc[0] == 0.4)
+
+
+def full_matrix_edge_latents(omega, m, nu0, nu1):
+    """Reference edge-latent update on every entry of the full matrices.
+
+    The earlier form of ``update_edge_latents``: two ``log_ndtr`` and two
+    ``erfcx`` calls per entry, and E[z^2] from the truncated variances.
+    Kept here only as the oracle for the upper-triangle kernel.
+    """
+    om_sq = omega * omega
+    log_slab = -math.log(nu1) - om_sq / (2.0 * nu1 * nu1) + special.log_ndtr(m)
+    log_spike = -math.log(nu0) - om_sq / (2.0 * nu0 * nu0) + special.log_ndtr(-m)
+    p = special.expit(log_slab - log_spike)
+    hazard_pos = _SQRT_2_OVER_PI / special.erfcx(-m / math.sqrt(2.0))
+    hazard_neg = _SQRT_2_OVER_PI / special.erfcx(m / math.sqrt(2.0))
+    mean_above, mean_below = m + hazard_pos, m - hazard_neg
+    var_above = 1.0 - hazard_pos * (hazard_pos + m)
+    var_below = 1.0 - hazard_neg * (hazard_neg - m)
+    ez = p * mean_above + (1.0 - p) * mean_below
+    ez2 = p * (var_above + mean_above**2) + (1.0 - p) * (var_below + mean_below**2)
+    np.fill_diagonal(p, 0.0)
+    np.fill_diagonal(ez, 0.0)
+    np.fill_diagonal(ez2, 1.0)
+    return p, ez, ez2
+
+
+def full_latent_terms(state, level):
+    """Reference latent-loglik, latent-entropy and indicator-entropy terms.
+
+    The earlier form of those ``_elbo_terms`` entries: 2-D fancy indexing,
+    truncated means and variances, and ``log_ndtr`` for log Phi(+-m).
+    """
+    iu = np.triu_indices(state.p, 1)
+    a_val = state.probit_level(level)
+    pstar = state.ppi[level][iu]
+    ez, ez2, m_q = state.ez[level][iu], state.ez2[level][iu], state.zloc[level][iu]
+    m_bar = (state.zeta_mean + a_val * state.beta_mean)[iu]
+    index_var = state.zeta_var[iu] + a_val * a_val * state.beta_var[iu]
+    sq = ez2 - 2.0 * ez * m_bar + m_bar * m_bar + index_var
+    hazard_pos = _SQRT_2_OVER_PI / special.erfcx(-m_q / math.sqrt(2.0))
+    hazard_neg = _SQRT_2_OVER_PI / special.erfcx(m_q / math.sqrt(2.0))
+    mean_above, mean_below = m_q + hazard_pos, m_q - hazard_neg
+    var_above = 1.0 - hazard_pos * (hazard_pos + m_q)
+    var_below = 1.0 - hazard_neg * (hazard_neg - m_q)
+    e_logq_above = -0.5 * _LOG_2PI - 0.5 * (var_above + (mean_above - m_q) ** 2) \
+        - special.log_ndtr(m_q)
+    e_logq_below = -0.5 * _LOG_2PI - 0.5 * (var_below + (mean_below - m_q) ** 2) \
+        - special.log_ndtr(-m_q)
+    return {
+        f"latent_loglik[{level}]": float(np.sum(-0.5 * _LOG_2PI - 0.5 * sq)),
+        f"latent_entropy[{level}]": float(
+            -np.sum(pstar * e_logq_above + (1.0 - pstar) * e_logq_below)
+        ),
+        f"indicator_entropy[{level}]": float(
+            -np.sum(special.xlogy(pstar, pstar) + special.xlogy(1.0 - pstar, 1.0 - pstar))
+        ),
+    }
+
+
+class TestUpperTriangleLayers:
+    LEVELS = (1, 2, 3)
+
+    def random_state(self, rng, p, far_index=False):
+        """A symmetric state with probit indices in [-6, 6], or all at -40."""
+        data = grouped(rng, self.LEVELS, 10, p)
+        hyper = default_hyper(self.LEVELS, nu0=0.05)
+        state = init_state(data, hyper)
+        state.probit_levels = np.array([-1.0, 0.0, 1.0])
+
+        def symmetric(low, high):
+            x = np.triu(rng.uniform(low, high, (p, p)), 1)
+            return x + x.T
+
+        if far_index:
+            state.zeta_mean = np.full((p, p), -40.0)
+            state.beta_mean = np.zeros((p, p))
+        else:
+            state.zeta_mean = symmetric(-3.0, 3.0)
+            state.beta_mean = symmetric(-3.0, 3.0)
+        state.zeta_var = np.full((p, p), 0.3)
+        state.beta_var = np.full((p, p), 0.2)
+        for a in self.LEVELS:
+            # Off-diagonal magnitudes from the spike scale to well inside the slab.
+            state.omega[a] = 0.6 * symmetric(-1.0, 1.0) ** 3 + p * np.eye(p)
+        return data, hyper, state
+
+    CASES = [(2, False), (5, False), (40, False), (5, True)]
+
+    @pytest.mark.parametrize("p, far_index", CASES)
+    def test_edge_latents_match_full_matrix_reference(self, rng, p, far_index):
+        _, hyper, state = self.random_state(rng, p, far_index)
+        for a in self.LEVELS:
+            m = state.zeta_mean + state.probit_level(a) * state.beta_mean
+            expected = full_matrix_edge_latents(state.omega[a], m, hyper.nu0_for(a), hyper.nu1)
+            got = update_edge_latents(state, hyper, a)
+            for value, reference in zip(got, expected):
+                np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(value, value.T)
+            assert np.array_equal(state.zloc[a], m)
+
+    @pytest.mark.parametrize("p, far_index", CASES)
+    def test_latent_elbo_terms_match_reference(self, rng, p, far_index):
+        data, hyper, state = self.random_state(rng, p, far_index)
+        for a in self.LEVELS:
+            update_edge_latents(state, hyper, a)
+        # Move the probit index off the stored truncation location, as the
+        # zeta and beta updates do before the ELBO is evaluated in a fit.
+        update_zeta(state, hyper)
+        update_beta(state, hyper)
+        scatters = {a: sample_covariance(y) for a, y in zip(data.levels, data.data)}
+        ns = {a: y.shape[0] for a, y in zip(data.levels, data.data)}
+        terms = engine._elbo_terms(state, hyper, scatters, ns, True)
+        for a in self.LEVELS:
+            for name, reference in full_latent_terms(state, a).items():
+                assert terms[name] == pytest.approx(reference, rel=1e-10)
 
 
 class TestUpdateZeta:
