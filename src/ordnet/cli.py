@@ -256,9 +256,47 @@ def load_grouped_dataset(manifest_path: str) -> GroupedDataset:
         raise DataError(f"{manifest_path}: {exc}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json_chunks(value):
+    """``value`` encoded as ``json.dump(value, fh, sort_keys=True,
+    separators=(",", ":"))`` writes it, in pieces.
+
+    Dicts, and lists that hold a list or dict, are walked here; every other
+    value (a matrix row, a number, a string) is encoded whole by the C
+    encoder, which ``json.dump`` itself never uses.  So no string of the
+    whole document is built.  Keys are sorted and converted as ``json.dump``
+    does: a number, bool or None key becomes its JSON text.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for index, (key, item) in enumerate(sorted(value.items())):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = _ENCODER.encode(key)
+            yield ("," if index else "") + _ENCODER.encode(key) + ":"
+            yield from _json_chunks(item)
+        yield "}"
+    elif isinstance(value, (list, tuple)) and any(
+        isinstance(item, (list, tuple, dict)) for item in value
+    ):
+        yield "["
+        for index, item in enumerate(value):
+            if index:
+                yield ","
+            yield from _json_chunks(item)
+        yield "]"
+    else:
+        yield _ENCODER.encode(value)
+
+
 def write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.writelines(_json_chunks(doc))
         fh.write("\n")
 
 

@@ -1,5 +1,6 @@
 """Command-line workflows: configuration, file formats, pipelines, exit codes."""
 
+import io
 import json
 import math
 import re
@@ -167,6 +168,63 @@ class TestFileFormats:
         write_json(path, {"schema_version": "2.0", "kind": "truth"})
         with pytest.raises(Exception, match="schema major version"):
             read_json(path, expected_kind="truth")
+
+
+def json_dumped(doc) -> bytes:
+    """What the file of ``write_json(path, doc)`` must hold: json.dump's bytes."""
+    buffer = io.StringIO()
+    json.dump(doc, buffer, sort_keys=True, separators=(",", ":"))
+    return (buffer.getvalue() + "\n").encode("utf-8")
+
+
+class TestWriteJson:
+    def test_pipeline_documents_match_json_dump(self, tmp_path, monkeypatch):
+        written = []
+        original = cli.write_json
+
+        def recording(path, doc):
+            original(path, doc)
+            written.append((path, doc))
+
+        monkeypatch.setattr(cli, "write_json", recording)
+        config = write_config(tmp_path / "run.conf", *SIM_LINES, "nu0_grid = 0.03,0.06")
+        sim, report = tmp_path / "sim", str(tmp_path / "nu0.json")
+        manifest = str(sim / "manifest.csv")
+        assert main(["simulate", "--config", config, "--out-dir", str(sim)]) == 0
+        assert main(["select-nu0", "--config", config, "--manifest", manifest,
+                     "--out", report]) == 0
+        assert main(["fit", "--config", config, "--manifest", manifest,
+                     "--nu0-report", report, "--out", str(tmp_path / "fit.json")]) == 0
+        assert [doc["kind"] for _, doc in written] == ["truth", "nu0_selection", "fit"]
+        for path, doc in written:
+            assert Path(path).read_bytes() == json_dumped(doc), doc["kind"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            {"a": [], "b": {}, "c": [[]], "d": [{}], "e": [[], [1], {"z": []}]},
+            {3: "three", 1: "one", -2: "minus two"},
+            {2.5: 1, float("nan"): 2, float("inf"): 3, -0.0: 4},
+            {True: 1, False: 0},
+            {None: [None]},
+            {"x": [float("nan"), float("inf"), -float("inf"), 1e-300, -0.0, 5e-324, 0.1]},
+            {"s": ["\u00e9", "\u2603", "\n\"\\\t", "\U0001f600", ""], "\u00fc": "\u00e9"},
+            {"v": [None, True, False, 0, -1, 10**30, 1.5]},
+            {"m": [[1.0, 2.0], [3.0, float("nan")]], "t": ((1, 2), (3,)), "n": {"k": {}}},
+        ],
+    )
+    def test_matches_json_dump(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        write_json(str(path), doc)
+        assert path.read_bytes() == json_dumped(doc)
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 3}, {1: 0, "a": 0}, {"a": object()}])
+    def test_refuses_what_json_dump_refuses(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            json_dumped(doc)
+        with pytest.raises(TypeError):
+            write_json(str(tmp_path / "doc.json"), doc)
 
 
 class TestSimulateCommand:

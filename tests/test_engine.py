@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
 import ordnet.engine as engine
 from ordnet import (
@@ -692,7 +692,9 @@ class TestNewtonStep:
         value = precision_objective(omega, scatter, n, d, 1.3)
         for _ in range(5):
             before = omega.copy()
-            omega = engine._newton_step(omega, scatter, n, d, 1.3)
+            omega, factor = engine._newton_step(omega, scatter, n, d, 1.3)
+            # The factor comes back with the matrix it factors.
+            assert np.array_equal(np.tril(factor), cholesky(omega, lower=True))
             assert np.array_equal(omega, omega.T) and is_positive_definite(omega)
             after = precision_objective(omega, scatter, n, d, 1.3)
             assert after >= value - 1e-12 * abs(value)
@@ -712,7 +714,7 @@ class TestNewtonStep:
         d = np.full((p, p), 1.0 / 0.05**2)
         omega = above * np.diag(n / (np.diag(scatter) + 1.0))
         value = precision_objective(omega, scatter, n, d, 1.0)
-        stepped = engine._newton_step(omega, scatter, n, d, 1.0)
+        stepped, _ = engine._newton_step(omega, scatter, n, d, 1.0)
         assert is_positive_definite(stepped)
         assert precision_objective(stepped, scatter, n, d, 1.0) > value
 
@@ -1270,3 +1272,104 @@ class TestFit:
         assert calls["latents"] == len(levels) * passes
         assert calls["steps"] == len(levels) * (engine._ANNEAL_STEPS + iterations)
         assert calls["sweeps"] == 0
+
+
+class TestSharedFactorAndTails:
+    """``fit`` factors each precision iterate once and computes each level's
+    probit tails once per coordinate pass, and the ELBO it assembles from
+    those shared pieces is the one computed from the state alone."""
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_each_iterate_is_factored_once(self, rng, monkeypatch, with_start):
+        levels, iterations = (1, 2, 3), 4
+        data = grouped(rng, levels, 30, 5)
+        start = None
+        if with_start:
+            start = {
+                a: ridge_start(sample_covariance(y), 30, 1.0, 1.0)
+                for a, y in zip(levels, data.data)
+            }
+        counts = {"input": 0, "trial": 0, "outside": 0, "steps": 0, "given": 0, "tails": 0}
+        running = []  # the input matrix of the Newton step in progress
+        newton_step, factorise, probit_tails = (
+            engine._newton_step, engine._POTRF, engine._probit_tails
+        )
+
+        def step(omega, scatter, n, d, lambda_diag, factor=None):
+            counts["steps"] += 1
+            counts["given"] += factor is not None
+            running.append(omega)
+            try:
+                return newton_step(omega, scatter, n, d, lambda_diag, factor)
+            finally:
+                running.pop()
+
+        def potrf(matrix, *args, **kwargs):
+            if not running:
+                counts["outside"] += 1
+            elif matrix is running[-1]:
+                counts["input"] += 1
+            else:
+                # Inside a step, any other matrix is a line-search trial.
+                counts["trial"] += 1
+            return factorise(matrix, *args, **kwargs)
+
+        def tails(m):
+            counts["tails"] += 1
+            return probit_tails(m)
+
+        monkeypatch.setattr(engine, "_newton_step", step)
+        monkeypatch.setattr(engine, "_POTRF", potrf)
+        monkeypatch.setattr(engine, "_probit_tails", tails)
+        report = fit(
+            data, default_hyper(levels), FitControls(max_iter=iterations, min_iter=iterations),
+            start=start,
+        )
+        assert report.iterations == iterations
+        steps = len(levels) * (engine._ANNEAL_STEPS + iterations)
+        assert counts["steps"] == steps
+        assert counts["trial"] >= steps
+        if with_start:
+            # The start check's factor seeds the first step of each level.
+            assert (counts["outside"], counts["input"]) == (len(levels), 0)
+            assert counts["given"] == steps
+        else:
+            # Only the first step of each level factors its input; the ELBO
+            # factors nothing.
+            assert (counts["outside"], counts["input"]) == (0, len(levels))
+            assert counts["given"] == steps - len(levels)
+        passes = engine._BURN_IN_PASSES + engine._ANNEAL_STEPS + iterations
+        assert counts["tails"] == len(levels) * passes
+
+    def test_fit_elbo_terms_equal_a_fresh_evaluation(self, monkeypatch):
+        # The design of tests/test_reproducibility.py.  Every iteration's
+        # terms must equal compute_elbo's exactly: a factor or tails from
+        # another iterate would move them.
+        config = SimulationConfig(
+            p=30, n_base_edges=30, n_appearing=15, n_disappearing=15,
+            n_per_group=60, seed=0,
+        )
+        dataset, _ = simulate_experiment(config)
+        data = dataset.prepare()
+        hyper = Hyperparameters.from_edge_count_prior(30, data.levels, 0.04)
+        elbo_terms = engine._elbo_terms
+        shared, fresh = [], []
+
+        def recording(state, hyper, scatters, ns, covariate_model, logdets=None, tails=None):
+            terms = elbo_terms(state, hyper, scatters, ns, covariate_model, logdets, tails)
+            if logdets is not None and tails is not None:
+                shared.append(terms)
+            return terms
+
+        def callback(iteration, state, elbo):
+            value, terms = compute_elbo(state, hyper, data, return_terms=True)
+            fresh.append((elbo, value, terms))
+
+        monkeypatch.setattr(engine, "_elbo_terms", recording)
+        report = fit(data, hyper, FitControls(max_iter=30, min_iter=30), callback=callback)
+        assert report.iterations == len(shared) == len(fresh) == 30
+        for terms, (elbo, value, fresh_terms) in zip(shared, fresh):
+            assert list(terms) == list(fresh_terms)
+            for name, term in terms.items():
+                assert term == fresh_terms[name], name
+            assert elbo == value
