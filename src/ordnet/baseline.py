@@ -40,14 +40,15 @@ def fit_ssl(
     t0_sq: float | None = None,
     controls: FitControls | None = None,
     *,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
+    start: np.ndarray | None = None,
 ) -> SslFit:
     """Fit the spike-and-slab graphical model to one centered data matrix.
 
     The probit index reduces to the intercept alone.  When ``n0``/``t0_sq``
     are omitted they are elicited from the default edge-count prior
     (expected edges = p, sd = p/2).  ``start`` is the data's
-    ``engine.ridge_start`` result, passed to ``engine.fit`` unchanged.
+    ``engine.ridge_start`` precision matrix, passed to ``engine.fit`` as the
+    start of its one level.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:

@@ -11,9 +11,11 @@ Newton-CG step whose line search accepts only a positive-definite matrix
 that raises the objective (``_newton_step``, O(p^3)).  Coordinate updates
 therefore never decrease the evidence lower bound (ELBO).  The factor is
 carried: the line search's Cholesky factor of each accepted matrix gives the
-ELBO its log-determinant and starts the next step.  The column-wise
-conditional-maximisation sweep (``cm_update_precision``, O(p^4)) is kept as
-the reference form of the precision update.
+ELBO its log-determinant and starts the next step, so the precision path
+holds each matrix and its factor and nothing else.  Each matrix starts from
+the all-slab ridge estimate (``ridge_start``).  The textbook column-wise
+conditional-maximisation sweep (``cm_update_precision``, O(p^4)) is kept
+only as the reference form of the precision update; ``fit`` never runs it.
 
 Factors updated each iteration, in this fixed order:
   1. joint edge indicator / latent threshold (per level),
@@ -34,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy import special
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import cho_solve, get_lapack_funcs
 
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
 
@@ -71,8 +73,8 @@ def edge_count_prior(
     s0 = p / 2.0 if sd_edges is None else float(sd_edges)
     if not 0.0 < e0 < m_edges:
         raise DataError(f"expected_edges must lie in (0, {m_edges:g}), got {e0:g}")
-    if s0 <= 0.0:
-        raise DataError("sd_edges must be positive")
+    if not 0.0 < s0 < math.inf:
+        raise DataError("sd_edges must be positive and finite")
     n0 = float(special.ndtri(e0 / m_edges))
     nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
 
@@ -143,13 +145,17 @@ class Hyperparameters:
         object.__setattr__(self, "nu0", nu0)
         if not nu0:
             raise DataError("nu0 must contain at least one level")
+        for name in ("nu1", "lambda_diag", "n0", "t0_sq", "alpha_sigma", "beta_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if self.nu1 <= 0.0:
             raise DataError("nu1 must be positive")
         for a, v in nu0.items():
             # A single-level model (the baseline's) has no level worth naming.
             where = f" at level {a}" if len(nu0) > 1 else ""
-            if v <= 0.0:
-                raise DataError(f"nu0{where} must be positive")
+            if not 0.0 < v < math.inf:
+                raise DataError(f"nu0{where} must be positive and finite, got {v:g}")
             if v > self.nu1 / 10.0 * _NU0_SLACK:
                 raise DataError(
                     f"nu0{where} is {v:g}; the spike must be well separated "
@@ -201,8 +207,8 @@ class FitControls:
     def __post_init__(self) -> None:
         if not self.max_iter >= self.min_iter >= 1:
             raise DataError("require max_iter >= min_iter >= 1")
-        if self.elbo_rel_tol <= 0.0:
-            raise DataError("elbo_rel_tol must be positive")
+        if not 0.0 < self.elbo_rel_tol < math.inf:
+            raise DataError(f"elbo_rel_tol must be positive and finite, got {self.elbo_rel_tol}")
 
 
 @dataclass
@@ -486,8 +492,7 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
     return shape, rate
 
 
-_POTRF, _POTRI, _POTRS = get_lapack_funcs(("potrf", "potri", "potrs"), dtype=np.float64)
-_SYR, _SYMV = get_blas_funcs(("syr", "symv"), dtype=np.float64)
+_POTRF, _POTRI = get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
 
 
 def _logdet(factor: np.ndarray) -> float:
@@ -513,16 +518,8 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _invert_pd(matrix: np.ndarray) -> np.ndarray:
-    factor, info = _POTRF(matrix, lower=1, clean=0)
-    if info > 0:
-        raise NumericalError("precision matrix is not positive definite")
-    return _inverse_from_factor(factor)
-
-
 def _cm_sweep(
     omega: np.ndarray,
-    w: np.ndarray,
     scatter: np.ndarray,
     n: int,
     d: np.ndarray,
@@ -531,88 +528,37 @@ def _cm_sweep(
 ) -> None:
     """Blockwise conditional-maximisation pass over columns, in place.
 
-    ``w`` must enter as the inverse of ``omega`` and leaves as the inverse of
-    the updated matrix (refreshed per column by rank-one identities).  ``d``
-    holds the expected prior precision of each off-diagonal entry.  Each
-    column update solves the column's stationary conditions exactly, and the
-    diagonal update keeps the Schur complement at n/(s_jj + lambda) > 0, so
-    positive definiteness is preserved.
-
-    Column j's update is the graphical-lasso block solve: with the other
-    indices ``-j``, it needs ``inv11 = inv(omega[-j, -j]) = W11 - w12 w12' /
-    w_jj`` and solves ``(s22 inv11 + diag(d[-j, j])) u = -s[-j, j]``.  This
-    kernel never gathers the (p-1)-block.  It forms ``A = W - w_j w_j' /
-    w_jj`` on the full p x p array and sets row and column j to zero, so A is
-    inv11 padded with a zero row and column at j.  In the padded system
-    ``s22 A + diag(d[:, j])`` with entry (j, j) set to 1, index j is
-    decoupled from the rest: its Cholesky factor is the (p-1)-block's factor
-    with a unit row and column inserted at j, and with ``rhs[j] = 0`` its
-    solution is the block solution with ``u[j] = 0``.  The same rank-one
-    identity ``W = A + t t' / v``, with ``t = A u``, then refreshes the whole
-    inverse, and row j, column j and entry (j, j) are written last.  The
-    update equals the gathered solve up to the summation order inside
-    LAPACK and BLAS.
-
-    During the sweep W is stored in one triangle only: the lower triangle of
-    its Fortran-ordered view, which BLAS ``syr`` (both rank-one updates) and
-    ``symv`` (``t = A u``) read and write in place, and from which the
-    column system is scaled.  The other triangle goes stale and is mirrored
-    from the updated one once, after the last column, so ``w`` enters and
-    leaves full and exactly symmetric.  Because W is symmetric, a C-ordered
-    ``w`` is used through its transpose.  ``w`` must therefore be a C- or
-    Fortran-contiguous float64 array; anything else raises ``ValueError``,
-    since the BLAS wrappers would silently update a copy instead.
+    ``d`` holds the expected prior precision of each off-diagonal entry.
+    Column j's update is the graphical-lasso block solve (Friedman, Hastie
+    & Tibshirani, Biostatistics 2008): with the other indices ``-j``, ``q =
+    inv(omega[-j, -j])`` and ``s22 = s_jj + lambda``, it solves ``(s22 q +
+    diag(d[-j, j])) u = -s[-j, j]`` by Cholesky, writes u into row and
+    column j and sets ``omega_jj = n / s22 + u' q u``.  This solves the
+    column's stationary conditions exactly and keeps the Schur complement
+    at ``n / s22 > 0``, so positive definiteness is preserved.  A column
+    costs O(p^3), a sweep O(p^4).  A column system that is not positive
+    definite raises ``NumericalError``.
     """
-    if w.dtype != np.float64:
-        raise ValueError(f"the inverse must be float64, not {w.dtype}")
-    if w.flags.f_contiguous:
-        wf = w
-    elif w.flags.c_contiguous:
-        wf = w.T
-    else:
-        raise ValueError("the inverse must be C- or Fortran-contiguous")
     p = omega.shape[0]
-    system = np.empty((p, p))
-    system_diag = system.reshape(-1)[:: p + 1]
-    wj = np.empty(p)
-    t = np.empty(p)
-    cols = range(p) if columns is None else columns
-    for j in cols:
-        # Column j of the symmetric W: row j left of the diagonal, column j
-        # from the diagonal down.
-        wj[:j] = wf[j, :j]
-        wj[j:] = wf[j:, j]
-        _SYR(-1.0 / wj[j], wj, lower=1, a=wf, overwrite_a=1)
-        wf[j, :j] = 0.0
-        wf[j:, j] = 0.0
+    for j in range(p) if columns is None else columns:
+        rest = np.delete(np.arange(p), j)
+        block_factor, info = _POTRF(omega[np.ix_(rest, rest)], lower=1, clean=0)
+        if info > 0:
+            raise NumericalError("precision matrix is not positive definite")
+        q = _inverse_from_factor(block_factor)
         s22 = scatter[j, j] + lambda_diag
-        # system is symmetric, so its transpose is the Fortran-ordered view
-        # LAPACK factors in place.
-        np.multiply(wf, s22, out=system.T)
-        system_diag += d[:, j]
-        system[j, j] = 1.0
-        factor, info = _POTRF(system.T, lower=1, clean=0, overwrite_a=1)
+        system = s22 * q
+        system[np.diag_indices(p - 1)] += d[rest, j]
+        factor, info = _POTRF(system, lower=1, clean=0)
         if info > 0:
             raise NumericalError(
                 "singular column system in the precision update; "
                 "increase nu0 or lambda_diag"
             )
-        rhs = -scatter[:, j]
-        rhs[j] = 0.0
-        u, _ = _POTRS(factor, rhs, lower=1, overwrite_b=1)
-        u[j] = 0.0
-        _SYMV(1.0, wf, u, y=t, lower=1, overwrite_y=1)
-        v = n / s22
-        omega[:, j] = u
-        omega[j, :] = u
-        omega[j, j] = v + float(u @ t)
-        _SYR(1.0 / v, t, lower=1, a=wf, overwrite_a=1)
-        col = -t / v
-        wf[j, :j] = col[:j]
-        wf[j:, j] = col[j:]
-        wf[j, j] = 1.0 / v
-    upper = np.triu_indices(p, 1)
-    wf[upper] = wf.T[upper]
+        u = -cho_solve((factor, True), scatter[rest, j])
+        omega[rest, j] = u
+        omega[j, rest] = u
+        omega[j, j] = n / s22 + float(u @ q @ u)
 
 
 # Conjugate-gradient iterations per Newton step; the line search's Armijo
@@ -736,21 +682,18 @@ _RIDGE_TOL = 1e-12
 _RIDGE_STALL = 1e-4
 
 
-def ridge_start(
-    scatter: np.ndarray, n: int, nu1: float, lambda_diag: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One level's all-slab ridge estimate and its inverse: ``fit``'s start.
+def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> np.ndarray:
+    """One level's all-slab ridge estimate of its precision matrix: ``fit``'s start.
 
     The estimate maximises ``(n/2) log det(omega) - tr((S + lambda I)
     omega) / 2 - (d/2) sum_{i<j} omega_ij^2``, every edge at the slab
     precision ``d = 1/nu1^2``.  Its stationarity condition is ``n
     inv(omega) - d omega = B(delta) := S + lambda I - d Diag(delta)``, where
     ``delta`` is the diagonal of omega.  For a given ``delta`` it has a
-    closed form: with ``B = V diag(b) V'``, ``omega = V diag(g(b)) V'`` and
-    ``inv(omega) = V diag(1/g(b)) V'``, where ``g(b) = (sqrt(b^2 + 4dn) - b)
-    / (2d) > 0`` is the positive root of ``n/g - d g = b``.  What remains is
-    the p-dimensional fixed point ``delta = F(delta) := diag(omega(delta))``,
-    one ``eigh`` per step.  ``F`` is a contraction: its Jacobian is
+    closed form: with ``B = V diag(b) V'``, ``omega = V diag(g(b)) V'``,
+    where ``g(b) = (sqrt(b^2 + 4dn) - b) / (2d) > 0`` is the positive root
+    of ``n/g - d g = b``.  What remains is the p-dimensional fixed point
+    ``delta = F(delta) := diag(omega(delta))``, one ``eigh`` per step.  ``F`` is a contraction: its Jacobian is
     symmetric with eigenvalues in [0, 1), because ``d |g'(b)| = (1 - b /
     sqrt(b^2 + 4dn)) / 2 < 1``.  They approach 1 where ``B`` has
     eigenvalues far below ``-sqrt(dn)`` (n << p with a narrow slab), and
@@ -761,10 +704,10 @@ def ridge_start(
     than 1e-12 of the largest, once a step below 1e-4 of it no longer
     shrinks (the iteration has stalled at rounding level, which happens far
     above 1e-12 for data on a very small or large scale), or after 50
-    steps.  Every step yields an exactly positive-definite omega with its
-    inverse, so a capped start is still a valid one.  The result depends on
-    the level's data, ``nu1`` and ``lambda_diag`` only, never on the spike;
-    the inverse is C-contiguous and exactly symmetric.
+    steps.  Every step yields a positive-definite omega, since every g(b)
+    is positive, so a capped start is still a valid one.  The result,
+    exactly symmetric, depends on the level's data, ``nu1`` and
+    ``lambda_diag`` only, never on the spike.
     """
     p = scatter.shape[0]
     slab = 1.0 / (nu1 * nu1)
@@ -790,8 +733,7 @@ def ridge_start(
         previous = scaled
         delta += step
     omega = (v * g) @ v.T
-    inverse = (v / g) @ v.T
-    return 0.5 * (omega + omega.T), 0.5 * (inverse + inverse.T)
+    return 0.5 * (omega + omega.T)
 
 
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
@@ -817,9 +759,8 @@ def cm_update_precision(
     """
     level = int(level)
     omega = state.omega[level].copy()
-    w = _invert_pd(omega)
     d = _expected_prior_precision(state.ppi[level], hyper.nu0_for(level), hyper.nu1)
-    _cm_sweep(omega, w, scatter, n, d, hyper.lambda_diag, columns)
+    _cm_sweep(omega, scatter, n, d, hyper.lambda_diag, columns)
     state.omega[level] = omega
     return omega
 
@@ -999,7 +940,7 @@ def fit(
     *,
     covariate_model: bool = True,
     callback: Callable[[int, VariationalState, float], None] | None = None,
-    start: Mapping[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    start: Mapping[int, np.ndarray] | None = None,
 ) -> FitReport:
     """Run the full variational algorithm to ELBO convergence.
 
@@ -1012,15 +953,12 @@ def fit(
 
     ``callback(iteration, state, elbo)`` runs after every full iteration.
     ``start`` maps every level to its ``ridge_start(scatter, n, nu1,
-    lambda_diag)`` result, computed by the caller, so that fits differing
-    only in the spike can share it; the arrays are copied, never written.
-    Only the precision matrix seeds the fit, together with the Cholesky
-    factor that checks it; the inverse is checked for its shape and not
-    used.  A start whose matrices are not p x p, or whose precision matrix
-    is not positive definite, raises ``DataError`` naming the level.
-    Without it each level's ridge start is computed here.
-    Raises a numerical error naming the first non-finite ELBO term if the
-    objective degenerates.
+    lambda_diag)`` precision matrix, computed by the caller, so that fits
+    differing only in the spike can share it; the arrays are copied, never
+    written.  A start that is not p x p, or not positive definite, raises
+    ``DataError`` naming the level.  Without it each level's ridge start is
+    computed here.  Raises a numerical error naming the first non-finite
+    ELBO term if the objective degenerates.
 
     Initialisation runs in three deterministic stages before the first
     recorded iteration.  First, each precision matrix is set to its
@@ -1028,16 +966,9 @@ def fit(
     precision ``d = 1/nu1^2``: from the identity the first edge-latent
     update would see omega = 0, assign every edge to the spike, and the
     ascent would settle in the empty-graph stationary point regardless of
-    nu0.  The estimate solves ``n inv(omega) - d omega = S + lambda I - d
-    Diag(delta)`` with ``delta = diag(omega)``.  For a given ``delta`` the
-    right-hand side's eigendecomposition ``V diag(b) V'`` gives ``omega = V
-    diag(g(b)) V'`` with ``g(b) = (sqrt(b^2 + 4dn) - b) / (2d) > 0``, and
-    ``delta`` is the fixed point of ``delta -> diag(omega(delta))``, a
-    contraction because ``d |g'(b)| = (1 - b / sqrt(b^2 + 4dn)) / 2 < 1``;
-    no sweep runs in this stage.  Second, the latent and probit
-    factors are pre-equilibrated by a few coordinate passes holding the
-    precision matrices fixed, so the edge-level intercepts already pool
-    evidence across levels.  Third, the spike is tightened along a short
+    nu0.  Second, the latent and probit factors are pre-equilibrated by a
+    few coordinate passes holding the precision matrices fixed, so the
+    edge-level intercepts already pool evidence across levels.  Third, the spike is tightened along a short
     geometric path from a deliberately permissive value (nu0/4, where the
     effective inclusion threshold is low) up to the requested nu0, running
     one full coordinate pass at each step.  Because the inclusion
@@ -1057,9 +988,10 @@ def fit(
     The step costs O(p^3) where a column-wise CM sweep costs O(p^4).  The
     factor is carried: the line search's factorisation of the accepted
     matrix gives the ELBO its log-determinant and starts the next step, so
-    each precision iterate is factored once.  Likewise the ELBO takes the
-    probit tails that the pass's edge-latent update computed at the
-    truncation location it stored.
+    each precision iterate is factored once; a given start's check supplies
+    the first factor.  Likewise the ELBO takes the probit tails that the
+    pass's edge-latent update computed at the truncation location it
+    stored.
     """
     if controls is None:
         controls = FitControls()
@@ -1091,18 +1023,22 @@ def fit(
             f"start has levels {sorted(start)}, the data has levels {sorted(levels)}"
         )
     else:
-        start = {a: tuple(np.array(m, dtype=float) for m in start[a]) for a in levels}
-        for a, (omega, inverse) in start.items():
-            if omega.shape != (data.p, data.p) or inverse.shape != (data.p, data.p):
+        given, start = start, {}
+        for a in levels:
+            try:
+                start[a] = omega = np.array(given[a], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"start for level {a} is not a numeric array: {exc}")
+            if omega.shape != (data.p, data.p):
                 raise DataError(
-                    f"start for level {a} has shapes {omega.shape} and {inverse.shape}, "
+                    f"start for level {a} has shape {omega.shape}, "
                     f"the data has {data.p} variables"
                 )
             factor, info = _POTRF(omega, lower=1, clean=0)
             if info != 0:
                 raise DataError(f"start for level {a} is not positive definite")
             factors[a] = factor
-    state.omega = {a: start[a][0] for a in levels}
+    state.omega = start
 
     def tempered(frac: float) -> Hyperparameters:
         # The spike on the geometric path from nu0 / _ANNEAL_SPAN (frac 0) to nu0.

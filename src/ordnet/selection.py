@@ -40,6 +40,8 @@ class Nu0SearchConfig:
         object.__setattr__(self, "grid", grid)
         if not grid:
             raise DataError("the candidate grid must not be empty")
+        if not all(math.isfinite(g) for g in grid):
+            raise DataError(f"grid values must be finite, got {grid}")
         if grid[0] <= 0.0:
             raise DataError("grid values must be positive")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -50,8 +52,8 @@ class Nu0SearchConfig:
     @classmethod
     def for_slab(cls, nu1: float = 1.0, gamma_ebic: float = 0.5) -> "Nu0SearchConfig":
         """Default grid: log-spaced candidates from 1e-3 up to nu1/10."""
-        if not nu1 > 0.0:
-            raise DataError("nu1 must be positive")
+        if not 0.0 < nu1 < math.inf:
+            raise DataError(f"nu1 must be positive and finite, got {nu1}")
         return cls(grid=tuple(np.geomspace(1e-3, nu1 / 10.0, _GRID_POINTS)), gamma_ebic=gamma_ebic)
 
 

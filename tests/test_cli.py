@@ -523,7 +523,9 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize("command", ["fit", "select-nu0"])
-    @pytest.mark.parametrize("line", ["expected_edges = 2000", "sd_edges = -1"])
+    @pytest.mark.parametrize(
+        "line", ["expected_edges = 2000", "sd_edges = -1", "sd_edges = nan"]
+    )
     def test_out_of_range_edge_count_prior_is_config_error(
         self, sim_dir, tmp_path, capsys, command, line
     ):
@@ -537,7 +539,9 @@ class TestExitCodes:
         assert line.split(" = ")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["nu1 = 0", "nu1 = -1", "lambda_diag = -1", "t0_sq = -1"]
+        "line",
+        ["nu1 = 0", "nu1 = -1", "lambda_diag = -1", "t0_sq = -1", "nu1 = nan", "nu1 = inf",
+         "lambda_diag = nan", "t0_sq = nan", "elbo_rel_tol = nan", "nu0_grid = 0.01,nan"],
     )
     def test_bad_select_nu0_setting_is_config_error(self, sim_dir, tmp_path, capsys, line):
         config = write_config(tmp_path / "sel.conf", line)
@@ -546,8 +550,25 @@ class TestExitCodes:
             "--out", str(tmp_path / "nu0.json"),
         ])
         assert code == 2
-        assert line.split(" = ")[0] in capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert ("grid values" if key == "nu0_grid" else key) in capsys.readouterr().err
         assert not (tmp_path / "nu0.json").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["nu0 = nan", "nu0 = inf", "nu1 = nan", "nu1 = inf", "lambda_diag = nan",
+         "n0 = nan", "t0_sq = nan", "alpha_sigma = inf", "elbo_rel_tol = nan"],
+    )
+    def test_bad_fit_setting_is_config_error(self, sim_dir, tmp_path, capsys, line):
+        lines = (line,) if line.startswith("nu0 ") else ("nu0 = 0.04", line)
+        config = write_config(tmp_path / "fit.conf", *lines)
+        code = main([
+            "fit", "--config", config, "--manifest", str(sim_dir / "manifest.csv"),
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_missing_nu0_is_config_error(self, sim_dir, tmp_path):
         config = write_config(tmp_path / "fit.conf", "max_iter = 50")

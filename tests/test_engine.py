@@ -86,6 +86,9 @@ class TestEdgeCountPrior:
             edge_count_prior(10, expected_edges=45.0)
         with pytest.raises(DataError):
             edge_count_prior(10, sd_edges=0.0)
+        for sd in (math.nan, math.inf):
+            with pytest.raises(DataError, match="sd_edges must be positive and finite"):
+                edge_count_prior(10, sd_edges=sd)
         with pytest.raises(DataError):
             edge_count_prior(1)
 
@@ -103,6 +106,14 @@ class TestHyperparameters:
             Hyperparameters(nu0={1: 0.05}, t0_sq=0.0)
         with pytest.raises(DataError):
             Hyperparameters(nu0={1: 0.05}, lambda_diag=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, value):
+        for name in ("nu1", "lambda_diag", "n0", "t0_sq", "alpha_sigma", "beta_sigma"):
+            with pytest.raises(DataError, match=f"{name} must be finite"):
+                Hyperparameters(nu0={1: 0.05}, **{name: value})
+        with pytest.raises(DataError, match="nu0 at level 2 must be positive and finite"):
+            Hyperparameters(nu0={1: 0.05, 2: value})
 
     def test_missing_level_lookup(self):
         hyper = Hyperparameters(nu0={1: 0.05})
@@ -130,6 +141,9 @@ class TestFitControls:
             FitControls(max_iter=3, min_iter=5)
         with pytest.raises(DataError):
             FitControls(elbo_rel_tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(DataError, match="elbo_rel_tol must be positive and finite"):
+                FitControls(elbo_rel_tol=tol)
 
     def test_report_trace_length_checked(self):
         with pytest.raises(DataError):
@@ -661,11 +675,9 @@ def precision_objective(omega, scatter, n, d, lambda_diag):
 def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
     """Sweep from omega until a sweep no longer moves it: the CM fixed point."""
     omega = omega.copy()
-    w = np.array(np.linalg.inv(omega), order="F")
-    w = 0.5 * (w + w.T)
     for _ in range(5000):
         before = omega.copy()
-        _cm_sweep(omega, w, scatter, n, d, lambda_diag)
+        _cm_sweep(omega, scatter, n, d, lambda_diag)
         if np.max(np.abs(omega - before)) <= 1e-15 * np.max(np.abs(omega)):
             break
     return omega
@@ -744,8 +756,9 @@ class TestNewtonStep:
 def gathered_sweep(omega, w, scatter, n, d, lambda_diag, columns=None):
     """Reference column update: gathers each (p-1)-block and solves it.
 
-    This is the textbook graphical-lasso block solve, kept here only as the
-    oracle for the engine's zero-padded full-matrix kernel.
+    It carries the inverse ``w`` through rank-one identities instead of
+    inverting each block, so it checks the engine's direct column solve
+    with a second algorithm.
     """
     p = omega.shape[0]
     for j in range(p) if columns is None else columns:
@@ -777,8 +790,7 @@ class TestCmSweepKernel:
         ppi = rng.uniform(0.0, 1.0, size=(p, p))
         ppi = 0.5 * (ppi + ppi.T)
         d = ppi + (1.0 - ppi) / 0.05**2
-        # The model never reads the diagonal of d; zero makes the padded
-        # system's unit pivot at (j, j) matter.
+        # The model never reads the diagonal of d.
         np.fill_diagonal(d, 0.0)
         return omega, 0.5 * (w + w.T), sample_covariance(y), n, d
 
@@ -787,36 +799,17 @@ class TestCmSweepKernel:
     def test_matches_gathered_block_solve(self, rng, p, subset):
         omega, w, scatter, n, d = self.random_inputs(rng, p)
         columns = rng.permutation(p)[: max(1, p // 2)].tolist() if subset else None
-        # The kernel takes a C-ordered inverse and a Fortran-ordered one
-        # (``_invert_pd`` gives the latter).
-        for order in "CF":
-            got_omega, got_w = omega.copy(), np.array(w, order=order)
-            ref_omega, ref_w = omega.copy(), w.copy()
-            for sweep in range(3):
-                gathered_sweep(ref_omega, ref_w, scatter, n, d, 1.3, columns)
-                _cm_sweep(got_omega, got_w, scatter, n, d, 1.3, columns)
-                if sweep == 0:
-                    # The caller's own arrays carry the update, not copies.
-                    assert not np.array_equal(got_omega, omega)
-                    assert not np.array_equal(got_w, w)
-                for got, ref in ((got_omega, ref_omega), (got_w, ref_w)):
-                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-                    assert np.array_equal(got, got.T)
-                assert np.max(np.abs(got_w @ got_omega - np.eye(p))) < 1e-10
-
-    @pytest.mark.parametrize("kind", ["strided", "float32"])
-    def test_inverse_that_would_be_copied_raises(self, rng, kind):
-        omega, w, scatter, n, d = self.random_inputs(rng, 6)
-        if kind == "strided":
-            holder = np.zeros((12, 12))
-            holder[::2, ::2] = w
-            w = holder[::2, ::2]
-        else:
-            w = w.astype(np.float32)
-        before = omega.copy(), w.copy()
-        with pytest.raises(ValueError, match="inverse must be"):
-            _cm_sweep(omega, w, scatter, n, d, 1.3)
-        assert np.array_equal(omega, before[0]) and np.array_equal(w, before[1])
+        got = omega.copy()
+        ref_omega, ref_w = omega.copy(), w.copy()
+        for sweep in range(3):
+            gathered_sweep(ref_omega, ref_w, scatter, n, d, 1.3, columns)
+            _cm_sweep(got, scatter, n, d, 1.3, columns)
+            if sweep == 0:
+                # The caller's own array carries the update, not a copy.
+                assert not np.array_equal(got, omega)
+            assert np.max(np.abs(got - ref_omega)) <= 1e-12 * np.max(np.abs(ref_omega))
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(ref_w @ got - np.eye(p))) < 1e-10
 
     def test_indefinite_column_system_raises(self, rng):
         p, n = 4, 30
@@ -825,6 +818,8 @@ class TestCmSweepKernel:
         d = np.full((p, p), -1e3)
         with pytest.raises(NumericalError, match="indefinite Newton system"):
             refit_precision(np.eye(p), scatter, n, d, 1.0)
+        with pytest.raises(NumericalError, match="singular column system"):
+            _cm_sweep(np.eye(p), scatter, n, d, 1.0)
 
 
 class TestRidgeStart:
@@ -833,12 +828,9 @@ class TestRidgeStart:
         return sample_covariance(rng.standard_normal((n, p)))
 
     @staticmethod
-    def assert_valid_pair(omega, w):
-        p = omega.shape[0]
-        assert is_positive_definite(omega)
-        assert w.dtype == np.float64 and w.flags.c_contiguous
-        assert np.array_equal(w, w.T) and np.array_equal(omega, omega.T)
-        assert np.max(np.abs(w @ omega - np.eye(p))) < 1e-10
+    def assert_valid(omega):
+        assert omega.dtype == np.float64
+        assert is_positive_definite(omega) and np.array_equal(omega, omega.T)
 
     @pytest.mark.parametrize("p", [2, 12, 50])
     @pytest.mark.parametrize("n_per_p", [3.0, 0.2])
@@ -847,8 +839,9 @@ class TestRidgeStart:
     def test_is_the_cm_fixed_point(self, rng, p, n_per_p, nu1, lambda_diag):
         n = max(1, int(n_per_p * p))
         scatter = self.inputs(rng, p, n)
-        omega, w = ridge_start(scatter, n, nu1, lambda_diag)
-        self.assert_valid_pair(omega, w)
+        omega = ridge_start(scatter, n, nu1, lambda_diag)
+        self.assert_valid(omega)
+        w = cho_solve(cho_factor(omega, lower=True), np.eye(p))
         slab = 1.0 / (nu1 * nu1)
         offdiag = omega - np.diag(np.diag(omega))
         base = scatter + lambda_diag * np.eye(p)
@@ -856,10 +849,10 @@ class TestRidgeStart:
         scale = max(np.max(np.abs(base)), np.max(np.abs(n * w)), slab * np.max(np.abs(omega)))
         assert np.max(np.abs(residual)) <= 1e-11 * scale
         # Sweeping from the result must leave it where it is.
-        ref_omega, ref_w = omega.copy(), w.copy()
+        ref_omega = omega.copy()
         for _ in range(200):
             before = ref_omega.copy()
-            _cm_sweep(ref_omega, ref_w, scatter, n, np.full((p, p), slab), lambda_diag)
+            _cm_sweep(ref_omega, scatter, n, np.full((p, p), slab), lambda_diag)
             if np.max(np.abs(ref_omega - before)) <= 1e-15 * np.max(np.abs(ref_omega)):
                 break
         assert np.max(np.abs(omega - ref_omega)) <= 1e-10 * np.max(np.abs(ref_omega))
@@ -878,9 +871,9 @@ class TestRidgeStart:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        omega, w = ridge_start(scatter, n, 0.1, 0.001)
+        omega = ridge_start(scatter, n, 0.1, 0.001)
         monkeypatch.undo()
-        self.assert_valid_pair(omega, w)
+        self.assert_valid(omega)
         assert len(calls) <= 25 < engine._RIDGE_STEPS
 
     def test_capped_start_is_still_a_valid_pair(self, rng, monkeypatch):
@@ -889,10 +882,10 @@ class TestRidgeStart:
         p, n, nu1 = 50, 10, 0.1
         scatter = self.inputs(rng, p, n)
         monkeypatch.setattr(engine, "_RIDGE_STEPS", 2)
-        omega, w = ridge_start(scatter, n, nu1, 1.0)
-        self.assert_valid_pair(omega, w)
+        omega = ridge_start(scatter, n, nu1, 1.0)
+        self.assert_valid(omega)
         monkeypatch.undo()
-        converged, _ = ridge_start(scatter, n, nu1, 1.0)
+        converged = ridge_start(scatter, n, nu1, 1.0)
         assert np.max(np.abs(omega - converged)) > 1e-3 * np.max(np.abs(converged))
 
 
@@ -1201,21 +1194,14 @@ class TestFit:
             a: ridge_start(sample_covariance(y), y.shape[0], hyper.nu1, hyper.lambda_diag)
             for a, y in zip(levels, data.data)
         }
-        given = {a: (omega.copy(), w.copy()) for a, (omega, w) in start.items()}
+        given = {a: omega.copy() for a, omega in start.items()}
         cold = fit(data, hyper, controls, covariate_model=covariate_model)
         shared = fit(data, hyper, controls, covariate_model=covariate_model, start=start)
         assert shared.elbo_trace == cold.elbo_trace
         for a in levels:
             assert np.array_equal(shared.final_state.ppi[a], cold.final_state.ppi[a])
             assert np.array_equal(shared.final_state.omega[a], cold.final_state.omega[a])
-            assert np.array_equal(start[a][0], given[a][0])
-            assert np.array_equal(start[a][1], given[a][1])
-
-    def test_ridge_start_returns_the_carried_inverse(self, rng):
-        y = grouped(rng, (1,), 30, 5).data[0]
-        omega, w = ridge_start(sample_covariance(y), 30, 1.0, 1.0)
-        assert is_positive_definite(omega)
-        assert np.allclose(omega @ w, np.eye(5), atol=1e-10)
+            assert np.array_equal(start[a], given[a])
 
     def test_start_must_cover_the_levels(self, rng):
         data = grouped(rng, (1, 2), 20, 3)
@@ -1231,16 +1217,20 @@ class TestFit:
         start = {
             a: ridge_start(sample_covariance(y), 20, 1.0, 1.0) for a, y in zip((1, 2), data.data)
         }
-        for bad in ((np.eye(6), np.eye(6)), (start[2][0], np.eye(6)), (np.ones(5), np.eye(5))):
-            with pytest.raises(DataError, match="start for level 2 has shapes"):
+        # The last is an (omega, inverse) pair, a start of shape (2, 5, 5).
+        legacy = (start[2], np.linalg.inv(start[2]))
+        for bad in (np.eye(6), np.ones(5), legacy):
+            with pytest.raises(DataError, match="start for level 2 has shape"):
                 fit(data, default_hyper((1, 2)), start={**start, 2: bad})
+        with pytest.raises(DataError, match="start for level 2 is not a numeric array"):
+            fit(data, default_hyper((1, 2)), start={**start, 2: (start[2], np.eye(6))})
 
     def test_indefinite_start_is_refused(self, rng):
         data = grouped(rng, (1, 2), 20, 5)
         start = {
             a: ridge_start(sample_covariance(y), 20, 1.0, 1.0) for a, y in zip((1, 2), data.data)
         }
-        start[1] = (-np.eye(5), -np.eye(5))
+        start[1] = -np.eye(5)
         with pytest.raises(DataError, match="start for level 1 is not positive definite"):
             fit(data, default_hyper((1, 2)), start=start)
 

@@ -107,7 +107,7 @@ class TestNu0SearchConfig:
         assert np.allclose(config.grid, expected, rtol=1e-12)
         assert config.gamma_ebic == 0.5
 
-    @pytest.mark.parametrize("nu1", [0.0, -1.0])
+    @pytest.mark.parametrize("nu1", [0.0, -1.0, math.inf, math.nan])
     def test_default_grid_needs_a_positive_slab(self, nu1):
         with pytest.raises(DataError, match="nu1 must be positive"):
             Nu0SearchConfig.for_slab(nu1)
@@ -119,6 +119,9 @@ class TestNu0SearchConfig:
             Nu0SearchConfig(grid=(-0.01, 0.05))
         with pytest.raises(DataError):
             Nu0SearchConfig(grid=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DataError, match="grid values must be finite"):
+                Nu0SearchConfig(grid=(0.01, bad))
 
 
 def two_level_dataset(strong_seed=0, p=10, n=150):
