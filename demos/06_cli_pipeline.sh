@@ -32,7 +32,7 @@ ordnet select-nu0 --config select.conf --manifest data/manifest.csv --out nu0.js
 python3 -c "import json; d = json.load(open('nu0.json')); print('selected:', d['selected'])"
 echo
 
-echo "== fit: single-network baseline, spikes from the selection report, 2 threads =="
+echo "== fit: single-network baseline, spikes from the selection report, 2 worker processes =="
 cat > fit_ssl.conf <<'EOF'
 method = ssl
 threads = 2

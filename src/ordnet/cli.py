@@ -20,13 +20,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .baseline import fit_ssl
-from .core import DataError, GroupedDataset, NumericalError
+from .core import DataError, GroupedDataset, NumericalError, parallel_map
 from .engine import FitControls, Hyperparameters, intercept_prior
 from .engine import fit as engine_fit
 from .metrics import evaluate_fit, rank_nodes_by_beta, top_k_edge_subnetworks
@@ -487,24 +486,10 @@ def cmd_fit(
             f"joint fit: converged={report.converged} after {report.iterations} iterations"
         )
     else:
+        settings = (hyper.nu1, hyper.lambda_diag, hyper.n0, hyper.t0_sq, controls)
+        tasks = [(dataset.group(a), nu0[a], *settings) for a in dataset.levels]
         threads = int(cfg.get("threads", 1))
-
-        def run(level: int):
-            return fit_ssl(
-                dataset.group(level),
-                nu0[level],
-                hyper.nu1,
-                hyper.lambda_diag,
-                hyper.n0,
-                hyper.t0_sq,
-                controls,
-            )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                fits = dict(zip(dataset.levels, pool.map(run, dataset.levels)))
-        else:
-            fits = {a: run(a) for a in dataset.levels}
+        fits = dict(zip(dataset.levels, parallel_map(fit_ssl, tasks, threads)))
         doc.update(
             {
                 "converged": {str(a): fits[a].converged for a in dataset.levels},
@@ -512,15 +497,11 @@ def cmd_fit(
                 "elbo_trace": {str(a): list(fits[a].elbo_trace) for a in dataset.levels},
                 "ppi": {str(a): fits[a].ppi.tolist() for a in dataset.levels},
                 "omega": {str(a): fits[a].omega.tolist() for a in dataset.levels},
-                "zeta_mean": {
-                    str(a): fits[a].state.zeta_mean.tolist() for a in dataset.levels
-                },
+                "zeta_mean": {str(a): fits[a].state.zeta_mean.tolist() for a in dataset.levels},
             }
         )
-        for a in dataset.levels:
-            print(
-                f"level {a}: converged={fits[a].converged} after {fits[a].iterations} iterations"
-            )
+        for a, fit in fits.items():
+            print(f"level {a}: converged={fit.converged} after {fit.iterations} iterations")
     write_json(out, doc)
     print(f"wrote {out}")
     return 0

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -182,3 +182,25 @@ class GroupedDataset:
 
     def is_centered(self, tol: float = 1e-10) -> bool:
         return all(np.max(np.abs(y.mean(axis=0))) <= tol for y in self.data)
+
+
+def parallel_map(function: Callable, tasks: Iterable[Sequence], workers: int = 1) -> list:
+    """``[function(*task) for task in tasks]``, over up to ``workers`` processes.
+
+    More than one worker and task run in a pool of ``min(workers,
+    len(tasks))`` processes, forked since spawn and forkserver re-run an
+    unguarded ``__main__``; ``function``, tasks and results must pickle.
+    Each task runs whole in one process, so the results equal the serial
+    ones bit for bit; a task's exception reaches the caller with its type.
+    """
+    tasks = list(tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [function(*task) for task in tasks]
+    # Imported here, so that ``import ordnet`` does not pay for the pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(function, *task) for task in tasks]
+        return [future.result() for future in futures]

@@ -700,13 +700,13 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     there plain iteration needs thousands of steps.  Each step therefore
     divides ``F(delta) - delta`` entrywise by one minus the Jacobian's
     diagonal (a Newton step with the diagonal of the Jacobian, one more
-    p x p product).  It stops once a step moves no diagonal entry by more
-    than 1e-12 of the largest, once a step below 1e-4 of it no longer
-    shrinks (the iteration has stalled at rounding level, which happens far
-    above 1e-12 for data on a very small or large scale), or after 50
-    steps.  Every step yields a positive-definite omega, since every g(b)
-    is positive, so a capped start is still a valid one.  The result,
-    exactly symmetric, depends on the level's data, ``nu1`` and
+    p x p product).  From a positive ``delta`` it stops once a step moves no
+    diagonal entry by more than 1e-12 of the largest, once a step below
+    1e-4 of it no longer shrinks (the iteration has stalled at rounding
+    level, which happens far above 1e-12 for data on a very small or large
+    scale), or after 50 steps.  Every step yields a positive-definite omega,
+    since every g(b) is positive, so a capped start is still a valid one.
+    The result, exactly symmetric, depends on the level's data, ``nu1`` and
     ``lambda_diag`` only, never on the spike.
     """
     p = scatter.shape[0]
@@ -727,8 +727,9 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
         # h_kl = (gap_k + gap_l) / (2 (root_k + root_l)) in (0, 1).
         h = (gap[:, None] + gap[None, :]) / (2.0 * (root[:, None] + root[None, :]))
         step = (squares @ g - delta) / (1.0 - np.sum((squares @ h) * squares, axis=1))
-        scaled = float(np.max(np.abs(step)) / np.max(delta))
-        if scaled <= _RIDGE_TOL or previous <= scaled <= _RIDGE_STALL:
+        # An overshoot can leave entries of delta negative: never stop there.
+        scaled = float(np.max(np.abs(step)) / np.max(np.abs(delta)))
+        if np.min(delta) > 0.0 and (scaled <= _RIDGE_TOL or previous <= scaled <= _RIDGE_STALL):
             break
         previous = scaled
         delta += step

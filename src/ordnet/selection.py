@@ -11,13 +11,12 @@ it is computed once per level and shared by the level's grid points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import SslFit, fit_ssl
-from .core import DataError, GroupedDataset, NumericalError, sample_covariance
+from .core import DataError, GroupedDataset, NumericalError, parallel_map, sample_covariance
 from .engine import FitControls, Hyperparameters, intercept_prior
 from .engine import refit_precision, ridge_start
 
@@ -138,6 +137,32 @@ def ebic_for_ssl_fit(
     return ebic(refit, data, gamma, n_edges=n_edges)
 
 
+def _search_level(
+    y: np.ndarray, start: np.ndarray | None, failure: str, config: Nu0SearchConfig,
+    nu1: float, lambda_diag: float, n0: float, t0_sq: float, controls: FitControls | None,
+) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """One level's extended BIC and failure message ('' if none) at each grid value.
+
+    ``start`` is the level's ridge start; where it is None, its computation
+    failed with ``failure`` and so does every grid point.
+    """
+    values, messages = [], []
+    for candidate in config.grid:
+        value, message = math.nan, failure
+        if start is not None:
+            try:
+                fit = fit_ssl(y, candidate, nu1, lambda_diag, n0, t0_sq, controls, start=start)
+                value = ebic_for_ssl_fit(
+                    fit, y, nu0=candidate, nu1=nu1, lambda_diag=lambda_diag,
+                    gamma=config.gamma_ebic,
+                )
+            except (DataError, NumericalError) as exc:
+                message = str(exc)
+        values.append(value)
+        messages.append(message)
+    return tuple(values), tuple(messages)
+
+
 def line_search_nu0(
     data: GroupedDataset,
     nu1: float = 1.0,
@@ -157,7 +182,9 @@ def line_search_nu0(
     Grid points whose fit fails are skipped and reported; a level where every
     point fails raises an error listing the per-point failures.  The settings
     shared by all fits are checked before the first one, with the checks of
-    ``Hyperparameters``; a bad grid value fails only its own point.
+    ``Hyperparameters``; a bad grid value fails only its own point.  Up to
+    ``workers`` processes search the levels, from ridge starts computed here
+    once per level, with results equal to the serial ones bit for bit.
     """
     if not data.is_centered(1e-6):
         raise DataError("data must be column-centered; call GroupedDataset.prepare()")
@@ -170,58 +197,27 @@ def line_search_nu0(
     if config.grid[-1] >= nu1:
         raise DataError("grid values must stay below nu1")
 
-    def level_start(level: int):
+    def level_task(level: int) -> tuple:
         y = data.group(level)
         try:
-            return ridge_start(sample_covariance(y), y.shape[0], nu1, lambda_diag), ""
+            start, failure = ridge_start(sample_covariance(y), y.shape[0], nu1, lambda_diag), ""
         except (DataError, NumericalError) as exc:
-            return None, str(exc)
+            start, failure = None, str(exc)
+        return (y, start, failure, config, nu1, lambda_diag, n0, t0_sq, controls)
 
-    starts = {a: level_start(a) for a in data.levels}
-
-    def evaluate(level: int, candidate: float) -> tuple[float, str]:
-        start, failure = starts[level]
-        if start is None:
-            return math.nan, failure
-        y = data.group(level)
-        try:
-            fit = fit_ssl(y, candidate, nu1, lambda_diag, n0, t0_sq, controls, start=start)
-            value = ebic_for_ssl_fit(
-                fit, y, nu0=candidate, nu1=nu1, lambda_diag=lambda_diag,
-                gamma=config.gamma_ebic,
-            )
-            return value, ""
-        except (DataError, NumericalError) as exc:
-            return math.nan, str(exc)
-
-    tasks = [(a, g) for a in data.levels for g in config.grid]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda t: evaluate(*t), tasks))
-    else:
-        outcomes = [evaluate(a, g) for a, g in tasks]
-
-    results = dict(zip(tasks, outcomes))
+    tasks = [level_task(a) for a in data.levels]
+    outcomes = dict(zip(data.levels, parallel_map(_search_level, tasks, workers)))
     selected: dict[int, float] = {}
-    ebic_by_level: dict[int, tuple[float, ...]] = {}
-    failures: dict[int, tuple[str, ...]] = {}
-    for a in data.levels:
-        values = tuple(results[(a, g)][0] for g in config.grid)
-        messages = tuple(results[(a, g)][1] for g in config.grid)
-        ebic_by_level[a] = values
-        failures[a] = messages
-        if all(math.isnan(v) for v in values):
-            details = "; ".join(
-                f"nu0={g:g}: {msg}" for g, msg in zip(config.grid, messages)
-            )
+    for a, (values, messages) in outcomes.items():
+        # The smallest value wins; a tie goes to the larger grid value.
+        ranked = [(v, -i) for i, v in enumerate(values) if not math.isnan(v)]
+        if not ranked:
+            details = "; ".join(f"nu0={g:g}: {msg}" for g, msg in zip(config.grid, messages))
             raise NumericalError(f"all grid points failed for level {a}: {details}")
-        best_idx = None
-        for i, v in enumerate(values):
-            if math.isnan(v):
-                continue
-            if best_idx is None or v <= values[best_idx]:
-                best_idx = i
-        selected[a] = config.grid[best_idx]
+        selected[a] = config.grid[-min(ranked)[1]]
     return Nu0SearchResult(
-        selected=selected, grid=config.grid, ebic=ebic_by_level, failures=failures
+        selected=selected,
+        grid=config.grid,
+        ebic={a: values for a, (values, _) in outcomes.items()},
+        failures={a: messages for a, (_, messages) in outcomes.items()},
     )

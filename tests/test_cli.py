@@ -1,5 +1,6 @@
 """Command-line workflows: configuration, file formats, pipelines, exit codes."""
 
+import concurrent.futures
 import io
 import json
 import math
@@ -375,13 +376,37 @@ class TestSelectAndFitPipeline:
                 "--manifest", str(sim_dir / "manifest.csv"), "--out", out,
             ]) == 0
             paths.append(out)
-        serial = json.loads(open(paths[0]).read())
-        threaded = json.loads(open(paths[1]).read())
-        for a in ("1", "2", "3", "4"):
-            assert np.allclose(
-                np.array(serial["ppi"][a]), np.array(threaded["ppi"][a]),
-                rtol=1e-8, atol=1e-12,
-            )
+        assert Path(paths[1]).read_bytes() == Path(paths[0]).read_bytes()
+
+    def test_threads_beyond_the_levels_ask_for_one_worker_per_level(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        requested = []
+
+        class RecordingPool:
+            """Runs the tasks in this process and records what the pool was asked for."""
+
+            def __init__(self, max_workers, mp_context):
+                requested.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, function, *args):
+                future = concurrent.futures.Future()
+                future.set_result(function(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        conf = write_config(tmp_path / "t.conf", "nu0 = 0.05", "method = ssl", "threads = 1000")
+        assert main([
+            "fit", "--config", conf,
+            "--manifest", str(sim_dir / "manifest.csv"), "--out", str(tmp_path / "fit.json"),
+        ]) == 0
+        assert requested == [(4, "fork")]
 
     def test_manifest_sample_count_mismatch(self, sim_dir, tmp_path):
         manifest = tmp_path / "manifest.csv"

@@ -1,4 +1,7 @@
-"""Foundational types, matrix predicates and data preparation."""
+"""Foundational types, matrix predicates, data preparation and the worker pool."""
+
+import operator
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from ordnet import (
     partial_correlations,
     sample_covariance,
 )
+from ordnet.core import parallel_map
 
 
 def random_pd(rng, p, scale=1.0):
@@ -225,3 +229,21 @@ class TestGroupedDataset:
                 data=(rng.standard_normal((5, 3)),),
                 variable_names=("a", "b"),
             )
+
+
+class TestParallelMap:
+    def test_one_worker_is_the_list_comprehension(self):
+        assert parallel_map(operator.add, [(1, 2), (3, 4)]) == [3, 7]
+        assert parallel_map(os.getpid, [(), ()], 1) == [os.getpid()] * 2
+
+    def test_tasks_run_outside_the_parent(self):
+        pids = parallel_map(os.getpid, [(), (), ()], 2)
+        assert len(pids) == 3 and os.getpid() not in pids
+
+    def test_results_keep_the_task_order(self):
+        tasks = [(k, 3) for k in range(7)]
+        assert parallel_map(pow, tasks, 3) == [k**3 for k in range(7)]
+
+    def test_worker_exception_reaches_the_caller_with_its_type(self):
+        with pytest.raises(ZeroDivisionError):
+            parallel_map(operator.truediv, [(1.0, 2.0), (1.0, 0.0)], 2)

@@ -832,15 +832,11 @@ class TestRidgeStart:
         assert omega.dtype == np.float64
         assert is_positive_definite(omega) and np.array_equal(omega, omega.T)
 
-    @pytest.mark.parametrize("p", [2, 12, 50])
-    @pytest.mark.parametrize("n_per_p", [3.0, 0.2])
-    @pytest.mark.parametrize("nu1", [0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("lambda_diag", [0.01, 1.0])
-    def test_is_the_cm_fixed_point(self, rng, p, n_per_p, nu1, lambda_diag):
-        n = max(1, int(n_per_p * p))
-        scatter = self.inputs(rng, p, n)
+    @classmethod
+    def assert_cm_fixed_point(cls, scatter, n, nu1, lambda_diag):
+        p = scatter.shape[0]
         omega = ridge_start(scatter, n, nu1, lambda_diag)
-        self.assert_valid(omega)
+        cls.assert_valid(omega)
         w = cho_solve(cho_factor(omega, lower=True), np.eye(p))
         slab = 1.0 / (nu1 * nu1)
         offdiag = omega - np.diag(np.diag(omega))
@@ -856,6 +852,19 @@ class TestRidgeStart:
             if np.max(np.abs(ref_omega - before)) <= 1e-15 * np.max(np.abs(ref_omega)):
                 break
         assert np.max(np.abs(omega - ref_omega)) <= 1e-10 * np.max(np.abs(ref_omega))
+
+    @pytest.mark.parametrize("p", [2, 12, 50])
+    @pytest.mark.parametrize("n_per_p", [3.0, 0.2])
+    @pytest.mark.parametrize("nu1", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("lambda_diag", [0.01, 1.0])
+    def test_is_the_cm_fixed_point(self, rng, p, n_per_p, nu1, lambda_diag):
+        n = max(1, int(n_per_p * p))
+        self.assert_cm_fixed_point(self.inputs(rng, p, n), n, nu1, lambda_diag)
+
+    def test_is_the_cm_fixed_point_after_an_overshoot_below_zero(self):
+        # The first step takes the diagonal from (1, 1) to about (-2.10, -0.68).
+        scatter = np.array([[3.32, -2.41], [-2.41, 1.74]])
+        self.assert_cm_fixed_point(scatter, 1, 0.1, 1.0)
 
     def test_stops_when_the_step_stalls(self, rng, monkeypatch):
         # Data on a small scale with a tiny lambda: the step stalls at
