@@ -348,6 +348,10 @@ def _matrix(doc_value) -> np.ndarray:
     matrix = np.array(doc_value, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    non_finite = np.argwhere(~np.isfinite(matrix))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise ValueError(f"non-finite entry {matrix[i, j]} at row {i}, column {j}")
     return matrix
 
 

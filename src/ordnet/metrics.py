@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import DataError, Edge, edge_indicator, edge_set
 
@@ -37,19 +36,35 @@ def _truth_labels(
     return edge_indicator(truth, p)[rows, cols] > 0.0
 
 
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each tied block given its mean rank.
+
+    The "average" ranking of ``scipy.stats.rankdata``, computed from the
+    block sizes of one ``np.unique``: a block ending at rank e with c members
+    gets e − (c − 1)/2, exact in floating point below 2**53 values.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
 def roc_auc(scores: np.ndarray, truth: Iterable[Edge]) -> float:
     """Probability that a true edge outscores a non-edge, ties counted half.
 
     Equivalent to the area under the ROC curve of the upper-triangle scores
-    against the edge indicator (the rank-sum form).
+    against the edge indicator (the rank-sum form, with NumPy mid-ranks for
+    tied scores).  ±inf scores are ordered like any other; a NaN score has no
+    order and is refused.
     """
     values, rows, cols = _upper_values(scores)
+    if np.isnan(values).any():
+        raise DataError("scores contain NaN")
     labels = _truth_labels(truth, np.shape(scores)[0], rows, cols)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("truth must contain at least one edge and one non-edge")
-    ranks = rankdata(values)
+    ranks = _mid_ranks(values)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

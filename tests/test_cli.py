@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +694,26 @@ class TestExitCodes:
         assert str(fit_path) in err and "malformed field 'variable_names'" in err
         assert not list(tmp_path.glob("r_*"))
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "null"])
+    @pytest.mark.parametrize("command, field", [("evaluate", "ppi"), ("rank", "beta_mean")])
+    def test_non_finite_matrix_entry_is_three(self, sim_dir, joint_fit_doc, tmp_path, capsys,
+                                              command, field, entry):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        matrix = doc[field]["2"] if field == "ppi" else doc[field]
+        matrix[0][1] = matrix[1][0] = "ENTRY"
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc).replace('"ENTRY"', entry), encoding="utf-8")
+        argv = {
+            "evaluate": ["--truth", str(sim_dir / "truth.json"),
+                         "--out", str(tmp_path / "metrics.csv")],
+            "rank": ["--out-prefix", str(tmp_path / "r")],
+        }[command]
+        assert main([command, "--fit", str(fit_path), *argv]) == 3
+        err = capsys.readouterr().err
+        assert str(fit_path) in err and f"malformed field '{field}'" in err
+        assert "non-finite entry" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["fit.json"]
+
     def test_missing_variable_names_falls_back(self, joint_fit_doc, tmp_path):
         doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
         del doc["variable_names"]
@@ -717,3 +739,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'nu0'" in err and "--nu0-report" in err
         assert not (tmp_path / "fit.json").exists()
+
+
+def test_import_loads_no_scipy_beyond_linalg_and_special():
+    # A fresh interpreter: the test process has imported scipy.stats itself.
+    script = (
+        "import sys, ordnet, ordnet.cli\n"
+        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules"
+        " if m.startswith('scipy.')})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    public = {name for name in loaded if not name.startswith("_") and name != "version"}
+    assert public <= {"linalg", "special"}, sorted(public)

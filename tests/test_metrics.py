@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from ordnet import (
     DataError,
@@ -17,6 +18,7 @@ from ordnet import (
     simulate_experiment,
     top_k_edge_subnetworks,
 )
+from ordnet.metrics import _mid_ranks
 
 
 def symmetric_scores(rng, p):
@@ -95,6 +97,65 @@ class TestRocAuc:
                 roc_auc(scores, truth)
             with pytest.raises(DataError, match="outside the 3 nodes"):
                 precision_recall(scores, truth)
+
+
+    def test_rejects_nan_scores(self, rng):
+        scores = symmetric_scores(rng, 4)
+        scores[1, 2] = scores[2, 1] = np.nan
+        with pytest.raises(DataError, match="NaN"):
+            roc_auc(scores, {(0, 1)})
+
+    def test_orders_infinite_scores(self):
+        scores = np.zeros((3, 3))
+        scores[0, 1] = np.inf
+        scores[1, 2] = -np.inf
+        assert roc_auc(scores, {(0, 1)}) == 1.0
+        assert roc_auc(scores, {(1, 2)}) == 0.0
+        assert roc_auc(scores, {(0, 2)}) == 0.5
+
+
+def rankdata_auc(scores, truth):
+    """Rank-sum AUC on ``scipy.stats.rankdata`` ranks (the reference oracle)."""
+    p = scores.shape[0]
+    rows, cols = np.triu_indices(p, 1)
+    labels = indicator(p, truth)[rows, cols] > 0.0
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    ranks = rankdata(scores[rows, cols])
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+class TestMidRanks:
+    """The NumPy mid-ranks equal ``rankdata``'s average ranks bit for bit."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full(7, 0.3), np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+         np.array([np.inf, -np.inf, 0.0, np.inf, 2.0, -np.inf, -np.inf]),
+         np.array([5.0]), np.arange(10.0)[::-1]],
+        ids=["all-tied", "signed-zeros", "infinities", "single", "reversed"],
+    )
+    def test_equals_rankdata_on_edge_cases(self, values):
+        ranks = _mid_ranks(values)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, rankdata(values))
+
+    def test_equals_rankdata_under_heavy_ties(self, rng):
+        for decimals in (0, 1, 2, 3):
+            for size in (2, 15, 190, 4950):
+                values = np.round(rng.normal(size=size), decimals)
+                assert np.array_equal(_mid_ranks(values), rankdata(values))
+
+    def test_roc_auc_equals_rankdata_reference(self, rng):
+        p = 20
+        truth = {(i, j) for i in range(p) for j in range(i + 1, p) if (i + 2 * j) % 7 == 0}
+        for decimals in (None, 2, 1, 0):
+            scores = symmetric_scores(rng, p)
+            if decimals is not None:
+                scores = np.round(3.0 * scores, decimals)
+            scores[0, 1] = scores[1, 0] = np.inf
+            scores[2, 3] = scores[3, 2] = -0.0
+            assert roc_auc(scores, truth) == rankdata_auc(scores, truth)
 
 
 class TestPrecisionRecall:
