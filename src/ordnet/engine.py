@@ -9,10 +9,12 @@ which makes every variational factor conjugate except the precision matrices
 themselves; those are point estimates, each raised once per iteration by a
 Newton-CG step whose line search accepts only a positive-definite matrix
 that raises the objective (``_newton_step``, O(p^3)).  Coordinate updates
-therefore never decrease the evidence lower bound (ELBO).  The factor is
-carried: the line search's Cholesky factor of each accepted matrix gives the
-ELBO its log-determinant and starts the next step, so the precision path
-holds each matrix and its factor and nothing else.  Each matrix starts from
+therefore never decrease the evidence lower bound (ELBO).  The step's CG
+solves the Newton system in single precision on a copy normalised to unit
+scale; its line search and every factorisation stay in double precision.
+The factor is carried: the line search's Cholesky factor of each accepted
+matrix gives the ELBO its log-determinant and starts the next step, so the
+precision path holds each matrix and its factor and nothing else.  Each matrix starts from
 the all-slab ridge estimate (``ridge_start``).  The textbook column-wise
 conditional-maximisation sweep (``cm_update_precision``, O(p^4)) is kept
 only as the reference form of the precision update; ``fit`` never runs it.
@@ -562,10 +564,13 @@ def _cm_sweep(
 
 
 # Conjugate-gradient iterations per Newton step; the line search's Armijo
-# constant and its cap on step halvings.
+# constant, its cap on step halvings, and the first-order gain (relative to
+# |f|) below which the Armijo comparison would be decided by the rounding of
+# f and is not made.
 _CG_ITERATIONS = 10
 _ARMIJO = 1e-4
 _HALVINGS = 30
+_ROUNDING = 1e-13
 _INDEFINITE = (
     "indefinite Newton system in the precision update; the prior precisions must be positive"
 )
@@ -594,17 +599,35 @@ def _newton_step(
     operator's diagonal: ``n (W_ii W_jj + W_ij^2) + d_ij`` off the diagonal
     and ``n W_ii^2`` on it, applied as a product with its reciprocal.
     Truncated CG from zero gives an ascent direction, ``<G, X> = <X, n W X
-    W + D o X> > 0``.  The symmetrised step is then halved from length 1
-    until ``omega + alpha X`` has a Cholesky factor and raises ``f`` by at
-    least 1e-4 of the first-order gain ``alpha <G, X> / 2`` (Armijo).  So
-    the result is positive definite and ``f`` never falls.
+    W + D o X> > 0``.
+
+    The CG runs in single precision: ten iterations leave the direction
+    inexact anyway, and inexact-Newton theory (Dembo, Eisenstat & Steihaug,
+    1982) ties its quality to that truncation, not to float64 rounding; the
+    products cost half as much.  Its inputs are normalised before the cast,
+    ``sqrt(n) W / s``, ``D / s^2``, ``s^2 / precond`` and ``G / g`` with ``s
+    = max |sqrt(n) W|`` and ``g = max |G|`` (1 if G = 0), so no scale of the
+    data overflows float32, and the direction is mapped back as ``X =
+    float64(X_32) g / s^2``; the step is thus equivariant under scaling the
+    data.  Everything else (the inverse, G, the preconditioner check, the
+    gain, the line search and every factorisation) stays in double
+    precision, so positive definiteness and ascent keep their guarantees.
+
+    The symmetrised step is halved from length 1 until ``omega + alpha X``
+    has a Cholesky factor and raises ``f`` by at least 1e-4 of the
+    first-order gain ``alpha <G, X> / 2`` (Armijo).  Once that gain is at
+    most 1e-13 of ``|f(omega)|`` the comparison would be decided by the
+    rounding of ``f``, so a trial with a Cholesky factor is accepted
+    without it; a gain that is not positive returns omega unchanged.  So the
+    result is positive definite and ``f`` never falls beyond rounding.
 
     ``factor`` is omega's lower Cholesky factor as ``_POTRF(omega, lower=1,
     clean=0)`` gives it (the upper triangle is not read); without it omega
     is factored here.  Returns the new matrix, a new exactly symmetric
     array, and its factor from the line search's own factorisation, so the
-    next step and the ELBO need not factor it again.  If 30 halvings find no
-    acceptable length, a copy of ``omega`` comes back with its factor.
+    next step and the ELBO need not factor it again.  If the gain is not
+    positive, or 30 halvings find no acceptable length, a copy of ``omega``
+    comes back with its factor.
     Neither ``omega`` nor ``factor`` is written.  A system that is not
     positive definite (met as an entry of the preconditioner or a CG
     curvature ``<P, n W P W + D o P>`` that is not positive; only a
@@ -632,22 +655,27 @@ def _newton_step(
     np.fill_diagonal(precond, n * w_diag * w_diag)
     if not np.min(precond) > 0.0:
         raise NumericalError(_INDEFINITE)
-    inv_precond = np.reciprocal(precond, out=precond)
-    root_w = np.multiply(w, math.sqrt(n), out=w)
+    # The float32 system is divided through by s^2 and g, so that its
+    # largest entries are 1 whatever the scale of the data.
+    scale = math.sqrt(n) * float(np.max(np.abs(w)))
+    grad_max = float(np.max(np.abs(grad))) or 1.0
+    root_w = np.multiply(w, math.sqrt(n) / scale, out=w).astype(np.float32)
+    off32 = (off / (scale * scale)).astype(np.float32)
+    inv_precond = np.divide(scale * scale, precond, out=precond).astype(np.float32)
+    resid = (grad / grad_max).astype(np.float32)
 
-    x = np.zeros((p, p))
-    resid = grad.copy()
+    x = np.zeros((p, p), dtype=np.float32)
     z = resid * inv_precond
     direction = z.copy()
-    image = np.empty((p, p))
-    scratch = np.empty((p, p))
+    image = np.empty((p, p), dtype=np.float32)
+    scratch = np.empty((p, p), dtype=np.float32)
     rz = float(np.vdot(resid, z))
     for _ in range(_CG_ITERATIONS):
         if rz == 0.0:
             break
         np.matmul(root_w, direction, out=scratch)
         np.matmul(scratch, root_w, out=image)
-        image += np.multiply(off, direction, out=scratch)
+        image += np.multiply(off32, direction, out=scratch)
         curvature = float(np.vdot(direction, image))
         if not curvature > 0.0:
             raise NumericalError(_INDEFINITE)
@@ -659,14 +687,20 @@ def _newton_step(
         direction *= rz_next / rz
         direction += z
         rz = rz_next
+    x = x.astype(np.float64) * (grad_max / (scale * scale))
     x = 0.5 * (x + x.T)
 
     gain = 0.5 * float(np.vdot(grad, x))
+    if not gain > 0.0:
+        return omega.copy(), factor
     length = 1.0
     for _ in range(_HALVINGS):
         trial = omega + length * x
         trial_factor, info = _POTRF(trial, lower=1, clean=0)
-        if info == 0 and objective(trial, trial_factor) >= value + _ARMIJO * length * gain:
+        if info == 0 and (
+            length * gain <= _ROUNDING * abs(value)
+            or objective(trial, trial_factor) >= value + _ARMIJO * length * gain
+        ):
             return trial, trial_factor
         length *= 0.5
     return omega.copy(), factor
@@ -984,8 +1018,10 @@ def fit(
     (``_newton_step``) per level on that level's precision objective at the
     pass's expected prior precisions: the inverse from the matrix's Cholesky
     factor, ten preconditioned conjugate-gradient iterations on the Newton
-    system, and a line search that accepts only a positive-definite matrix
-    that raises the objective (Armijo), so the ELBO trace stays an ascent.
+    system (in single precision, on a scale-normalised copy of it), and a
+    line search in double precision that accepts only a positive-definite
+    matrix that raises the objective (Armijo), so the ELBO trace stays an
+    ascent.
     The step costs O(p^3) where a column-wise CM sweep costs O(p^4).  The
     factor is carried: the line search's factorisation of the accepted
     matrix gives the ELBO its log-determinant and starts the next step, so

@@ -648,9 +648,15 @@ class TestRefitPrecision:
         again = refit_precision(omega, scatter, n, d, 1.0, max_steps=1)
         assert np.max(np.abs(again - omega)) < 1e-6
 
-    def test_equivariant_under_data_scale(self, rng):
+    @pytest.mark.parametrize(
+        "seed", [None, *range(10)], ids=lambda s: "fixture" if s is None else str(s)
+    )
+    def test_equivariant_under_data_scale(self, rng, seed):
         # Data times c maps the problem to omega / c^2 under lambda c^2 and
-        # d c^4; the stop rule must not depend on c.
+        # d c^4; neither the stop rule nor the line search's decisions may
+        # depend on c.
+        if seed is not None:
+            rng = np.random.default_rng(seed)
         n, p, lambda_diag = 20, 30, 1.0
         y = rng.standard_normal((n, p))
         scatter = sample_covariance(y - y.mean(axis=0))
@@ -681,6 +687,49 @@ def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
         if np.max(np.abs(omega - before)) <= 1e-15 * np.max(np.abs(omega)):
             break
     return omega
+
+
+def newton_step_reference(omega, scatter, n, d, lambda_diag, iterations=10):
+    """Reference Newton-CG step: the same method, in double precision.
+
+    It forms ``W`` with ``inv``, runs the preconditioned CG on ``n W X W +
+    D o X = G`` unscaled and with fresh arrays, and accepts the first
+    halving whose matrix has a Cholesky factor and passes the Armijo test,
+    so it checks the engine's scaled single-precision CG with plain code.
+    """
+    p = omega.shape[0]
+    off = d * (1.0 - np.eye(p))
+    w = np.linalg.inv(omega)
+    grad = n * w - scatter - lambda_diag * np.eye(p) - off * omega
+    precond = n * (np.outer(np.diag(w), np.diag(w)) + w * w) + off
+    np.fill_diagonal(precond, n * np.diag(w) ** 2)
+    x = np.zeros((p, p))
+    resid = grad.copy()
+    z = resid / precond
+    direction = z.copy()
+    rz = float(np.sum(resid * z))
+    for _ in range(iterations):
+        if rz == 0.0:
+            break
+        image = n * w @ direction @ w + off * direction
+        alpha = rz / float(np.sum(direction * image))
+        x += alpha * direction
+        resid -= alpha * image
+        z = resid / precond
+        rz, previous = float(np.sum(resid * z)), rz
+        direction = z + rz / previous * direction
+    x = 0.5 * (x + x.T)
+    value = precision_objective(omega, scatter, n, d, lambda_diag)
+    gain = 0.5 * float(np.sum(grad * x))
+    length = 1.0
+    for _ in range(30):
+        trial = omega + length * x
+        if is_positive_definite(trial) and precision_objective(
+            trial, scatter, n, d, lambda_diag
+        ) >= value + 1e-4 * length * gain:
+            return trial
+        length *= 0.5
+    return omega.copy()
 
 
 class TestNewtonStep:
@@ -729,6 +778,34 @@ class TestNewtonStep:
         stepped, _ = engine._newton_step(omega, scatter, n, d, 1.0)
         assert is_positive_definite(stepped)
         assert precision_objective(stepped, scatter, n, d, 1.0) > value
+
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    @pytest.mark.parametrize("n_per_p", [3.0, 0.3])
+    @pytest.mark.parametrize("nu0", [0.01, 0.05, 0.1])
+    def test_gain_matches_a_float64_reference(self, rng, p, n_per_p, nu0):
+        # The CG runs in single precision; the objective gain of the step
+        # must still be that of the same step computed in double precision.
+        n = max(2, int(n_per_p * p))
+        omega, scatter, d = self.inputs(rng, p, n, nu0)
+        value = precision_objective(omega, scatter, n, d, 1.3)
+        stepped, _ = engine._newton_step(omega, scatter, n, d, 1.3)
+        reference = newton_step_reference(omega, scatter, n, d, 1.3)
+        gain = precision_objective(stepped, scatter, n, d, 1.3) - value
+        expected = precision_objective(reference, scatter, n, d, 1.3) - value
+        assert expected > 0.0
+        assert gain == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p, n", [(12, 36), (40, 12)])
+    @pytest.mark.parametrize("c2", [1e-20, 1e-12, 1e12, 1e20])
+    def test_equivariant_under_data_scale(self, rng, p, n, c2):
+        # Data times c maps the step from omega to the step from omega / c^2
+        # under lambda c^2 and d c^4, divided by c^2.  The single-precision
+        # CG must neither overflow nor lose this at any scale.
+        omega, scatter, d = self.inputs(rng, p, n, 0.05)
+        reference, _ = engine._newton_step(omega, scatter, n, d, 1.3)
+        scaled, _ = engine._newton_step(omega / c2, c2 * scatter, n, d * c2 * c2, 1.3 * c2)
+        assert np.max(np.abs(c2 * scaled - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_leaves_its_input_alone(self, rng):
         omega, scatter, d = self.inputs(rng, 8, 30, 0.05)
