@@ -155,11 +155,13 @@ def _format_float(value: float) -> str:
 
 
 def write_data_csv(path: str, data: np.ndarray, names: Sequence[str]) -> None:
+    """One header row, then each row's values as ``_format_float`` writes
+    them: ``repr`` of the row's Python floats."""
     data = np.asarray(data, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
+        for row in data.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_data_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -262,11 +264,11 @@ def _json_chunks(value):
     """``value`` encoded as ``json.dump(value, fh, sort_keys=True,
     separators=(",", ":"))`` writes it, in pieces.
 
-    Dicts, and lists that hold a list or dict, are walked here; every other
-    value (a matrix row, a number, a string) is encoded whole by the C
-    encoder, which ``json.dump`` itself never uses.  So no string of the
-    whole document is built.  Keys are sorted and converted as ``json.dump``
-    does: a number, bool or None key becomes its JSON text.
+    Dicts, and lists that hold a dict, are walked here; every other value
+    (a matrix, a number, a string) is encoded whole by the C encoder, which
+    ``json.dump`` itself never uses.  So a matrix costs one encoder call, and
+    no string of the whole document is built.  Keys are sorted and converted
+    as ``json.dump`` does: a number, bool or None key becomes its JSON text.
     """
     if isinstance(value, dict):
         yield "{"
@@ -280,9 +282,7 @@ def _json_chunks(value):
             yield ("," if index else "") + _ENCODER.encode(key) + ":"
             yield from _json_chunks(item)
         yield "}"
-    elif isinstance(value, (list, tuple)) and any(
-        isinstance(item, (list, tuple, dict)) for item in value
-    ):
+    elif isinstance(value, (list, tuple)) and any(isinstance(item, dict) for item in value):
         yield "["
         for index, item in enumerate(value):
             if index:
@@ -528,7 +528,20 @@ def cmd_evaluate(
         raise DataError(
             f"levels differ between {fit_path} ({fit_levels}) and {truth_path} ({truth_levels})"
         )
+    p = _field(truth_doc, truth_path, "p", int)
+    if "p" in fit_doc and _field(fit_doc, fit_path, "p", int) != p:
+        raise DataError(f"p differs between {fit_path} ({fit_doc['p']}) and {truth_path} ({p})")
     ppi = _field(fit_doc, fit_path, "ppi", lambda v: {int(a): _matrix(m) for a, m in v.items()})
+    if sorted(ppi) != sorted(fit_levels):
+        raise DataError(
+            f"{fit_path}: 'ppi' has levels {sorted(ppi)}, the document has {sorted(fit_levels)}"
+        )
+    for level, matrix in ppi.items():
+        if matrix.shape != (p, p):
+            raise DataError(
+                f"{fit_path}: 'ppi' at level {level} is {matrix.shape[0]} x "
+                f"{matrix.shape[1]}, expected {p} x {p}"
+            )
     adjacency = _field(
         truth_doc, truth_path, "adjacency",
         lambda v: {int(a): [(int(i), int(j)) for i, j in pairs] for a, pairs in v.items()},

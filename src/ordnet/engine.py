@@ -12,6 +12,8 @@ that raises the objective (``_newton_step``, O(p^3)).  Coordinate updates
 therefore never decrease the evidence lower bound (ELBO).  The step's CG
 solves the Newton system in single precision on a copy normalised to unit
 scale; its line search and every factorisation stay in double precision.
+The line search scores each trial by the objective's change, from inner
+products formed once per step, so a trial costs one Cholesky factorisation.
 The factor is carried: the line search's Cholesky factor of each accepted
 matrix gives the ELBO its log-determinant and starts the next step, so the
 precision path holds each matrix and its factor and nothing else.  Each matrix starts from
@@ -34,7 +36,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -390,21 +392,47 @@ def _edge_latent_core(
     return p, ez, 1.0 + m * ez
 
 
+class _LevelLatents(NamedTuple):
+    """One level's edge-latent factor on the upper triangle, as
+    ``update_edge_latents`` wrote it: p*, the truncation location, E[z],
+    E[z^2] and the location's ``_probit_tails``."""
+
+    pstar: np.ndarray
+    zloc: np.ndarray
+    ez: np.ndarray
+    ez2: np.ndarray
+    tails: tuple
+
+
+def _stored_latents(state: VariationalState, level: int) -> _LevelLatents:
+    """The same record read from the state's matrices."""
+    upper, _ = _triangle(state.p)
+    zloc = state.zloc[level].take(upper)
+    return _LevelLatents(
+        state.ppi[level].take(upper),
+        zloc,
+        state.ez[level].take(upper),
+        state.ez2[level].take(upper),
+        _probit_tails(zloc),
+    )
+
+
 def update_edge_latents(
     state: VariationalState,
     hyper: Hyperparameters,
     level: int,
-    tails: dict[int, tuple] | None = None,
+    latents: dict[int, _LevelLatents] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refresh p*, E[z] and E[z^2] for one level, in place.
 
     Reads the precision matrix and the probit index on the upper triangle
     only and writes exactly symmetric matrices, with diagonals 0, 0 and 1.
     Also stores the full probit index as the level's new truncation
-    location.  Given a dict ``tails``, also stores there, under the level,
-    the ``_probit_tails`` of that location on the upper triangle, which
-    ``_elbo_terms`` can take instead of computing them again.  Returns the
-    updated ``(ppi, ez, ez2)`` matrices.
+    location.  Given a dict ``latents``, also stores there, under the level,
+    the upper-triangle p*, location, E[z] and E[z^2] with the location's
+    ``_probit_tails`` (a ``_LevelLatents``), which ``_elbo_terms`` can take
+    instead of reading and computing them again.  Returns the updated
+    ``(ppi, ez, ez2)`` matrices.
     """
     level = int(level)
     p = state.p
@@ -413,22 +441,29 @@ def update_edge_latents(
     m = state.zeta_mean + a_val * state.beta_mean
     m_upper = m.take(upper)
     level_tails = _probit_tails(m_upper)
-    if tails is not None:
-        tails[level] = level_tails
-    ppi, ez, ez2 = _edge_latent_core(
+    pstar, ez_upper, ez2_upper = _edge_latent_core(
         state.omega[level].take(upper), m_upper, level_tails, hyper.nu0_for(level), hyper.nu1
     )
-    state.ppi[level] = ppi = _symmetric(ppi, p, 0.0)
-    state.ez[level] = ez = _symmetric(ez, p, 0.0)
-    state.ez2[level] = ez2 = _symmetric(ez2, p, 1.0)
+    if latents is not None:
+        latents[level] = _LevelLatents(pstar, m_upper, ez_upper, ez2_upper, level_tails)
+    state.ppi[level] = ppi = _symmetric(pstar, p, 0.0)
+    state.ez[level] = ez = _symmetric(ez_upper, p, 0.0)
+    state.ez2[level] = ez2 = _symmetric(ez2_upper, p, 1.0)
     state.zloc[level] = m
     return ppi, ez, ez2
 
 
+# Both cores sum over levels in place, in the order of ``levels`` (the order
+# fixes the rounding); an edge's update runs them on 0-d arrays.
 def _zeta_update_core(ez_stack, beta_mean, levels, n0, t0_sq):
     tau = 1.0 / t0_sq + len(levels)
-    resid = sum(ez_a - a * beta_mean for ez_a, a in zip(ez_stack, levels))
-    mean = (n0 / t0_sq + resid) / tau
+    mean = np.zeros(np.shape(beta_mean))
+    term = np.empty_like(mean)
+    for ez_a, a in zip(ez_stack, levels):
+        np.subtract(ez_a, np.multiply(beta_mean, a, out=term), out=term)
+        mean += term
+    mean += n0 / t0_sq
+    mean /= tau
     return mean, 1.0 / tau
 
 
@@ -445,7 +480,8 @@ def update_zeta(
     if edge is not None:
         i, j = edge
         ez = [state.ez[a][i, j] for a in state.levels]
-        return _zeta_update_core(ez, state.beta_mean[i, j], a_vals, hyper.n0, hyper.t0_sq)
+        mean, var = _zeta_update_core(ez, state.beta_mean[i, j], a_vals, hyper.n0, hyper.t0_sq)
+        return float(mean), var
     ez_stack = [state.ez[a] for a in state.levels]
     mean, var = _zeta_update_core(ez_stack, state.beta_mean, a_vals, hyper.n0, hyper.t0_sq)
     state.zeta_mean = mean
@@ -455,7 +491,13 @@ def update_zeta(
 
 def _beta_update_core(ez_stack, zeta_mean, levels, e_sigma_prec):
     tau = e_sigma_prec + float(sum(a * a for a in levels))
-    mean = sum(a * (ez_a - zeta_mean) for ez_a, a in zip(ez_stack, levels)) / tau
+    mean = np.zeros(np.shape(zeta_mean))
+    term = np.empty_like(mean)
+    for ez_a, a in zip(ez_stack, levels):
+        np.subtract(ez_a, zeta_mean, out=term)
+        term *= a
+        mean += term
+    mean /= tau
     return mean, 1.0 / tau
 
 
@@ -472,7 +514,8 @@ def update_beta(
     if edge is not None:
         i, j = edge
         ez = [state.ez[a][i, j] for a in state.levels]
-        return _beta_update_core(ez, state.zeta_mean[i, j], a_vals, e_prec)
+        mean, var = _beta_update_core(ez, state.zeta_mean[i, j], a_vals, e_prec)
+        return float(mean), var
     ez_stack = [state.ez[a] for a in state.levels]
     mean, var = _beta_update_core(ez_stack, state.zeta_mean, a_vals, e_prec)
     state.beta_mean = mean
@@ -615,11 +658,15 @@ def _newton_step(
 
     The symmetrised step is halved from length 1 until ``omega + alpha X``
     has a Cholesky factor and raises ``f`` by at least 1e-4 of the
-    first-order gain ``alpha <G, X> / 2`` (Armijo).  Once that gain is at
-    most 1e-13 of ``|f(omega)|`` the comparison would be decided by the
-    rounding of ``f``, so a trial with a Cholesky factor is accepted
-    without it; a gain that is not positive returns omega unchanged.  So the
-    result is positive definite and ``f`` never falls beyond rounding.
+    first-order gain ``alpha <G, X> / 2`` (Armijo; ``_line_search``).  The
+    rise is scored incrementally (``_change_along``): ``f(omega + alpha X) -
+    f(omega)`` is the log-determinant change times n/2 less three inner
+    products with ``X``, formed once per step, so a trial costs one
+    Cholesky factorisation and its log-determinant.  Once the first-order
+    gain is at most 1e-13 of ``|f(omega)|`` the comparison would be decided
+    by rounding, so a trial with a Cholesky factor is accepted without it;
+    a gain that is not positive returns omega unchanged.  So the result is
+    positive definite and ``f`` never falls beyond rounding.
 
     ``factor`` is omega's lower Cholesky factor as ``_POTRF(omega, lower=1,
     clean=0)`` gives it (the upper triangle is not read); without it omega
@@ -635,23 +682,27 @@ def _newton_step(
     O(p^3).
     """
     p = omega.shape[0]
-    base = scatter + lambda_diag * np.eye(p)
+    base = np.array(scatter, dtype=float)
+    base.flat[:: p + 1] += lambda_diag
     off = np.array(d, dtype=float)
     np.fill_diagonal(off, 0.0)
-
-    def objective(matrix: np.ndarray, matrix_factor: np.ndarray) -> float:
-        return 0.5 * n * _logdet(matrix_factor) - 0.5 * float(np.vdot(base, matrix)) \
-            - 0.25 * float(np.vdot(off * matrix, matrix))
-
     if factor is None:
         factor, info = _POTRF(omega, lower=1, clean=0)
         if info > 0:
             raise NumericalError("precision matrix is not positive definite")
-    value = objective(omega, factor)
+    logdet = _logdet(factor)
+    off_omega = off * omega
+    value = 0.5 * n * logdet - 0.5 * float(np.vdot(base, omega)) \
+        - 0.25 * float(np.vdot(off_omega, omega))
     w = _inverse_from_factor(factor)
-    grad = n * w - base - off * omega
+    grad = n * w
+    grad -= base
+    grad -= off_omega
     w_diag = np.diag(w)
-    precond = n * (np.outer(w_diag, w_diag) + w * w) + off
+    precond = np.outer(w_diag, w_diag)
+    precond += w * w
+    precond *= n
+    precond += off
     np.fill_diagonal(precond, n * w_diag * w_diag)
     if not np.min(precond) > 0.0:
         raise NumericalError(_INDEFINITE)
@@ -693,13 +744,48 @@ def _newton_step(
     gain = 0.5 * float(np.vdot(grad, x))
     if not gain > 0.0:
         return omega.copy(), factor
+    change = _change_along(omega, x, logdet, n, base, off, off_omega)
+    return _line_search(omega, factor, x, gain, value, change)
+
+
+def _change_along(
+    omega: np.ndarray, x: np.ndarray, logdet: float, n: int,
+    base: np.ndarray, off: np.ndarray, off_omega: np.ndarray,
+) -> Callable[[float, np.ndarray], float]:
+    """The precision objective's change along ``x``, from three inner products.
+
+    With ``B = S + lambda I`` (``base``), ``D`` (``off``, zero diagonal) and
+    ``off_omega = D o omega``, ``f(omega + alpha x) - f(omega) = (n/2)(log
+    det(omega + alpha x) - log det omega) - (alpha/2)<B, x> - (alpha/2)<D o
+    omega, x> - (alpha^2/4)<D o x, x>``.  The inner products are formed here
+    once; the returned ``change(alpha, trial_factor)`` needs only the trial's
+    Cholesky factor.  ``logdet`` is log det omega.
+    """
+    base_x = float(np.vdot(base, x))
+    off_omega_x = float(np.vdot(off_omega, x))
+    off_x_x = float(np.vdot(off * x, x))
+
+    def change(length: float, trial_factor: np.ndarray) -> float:
+        return 0.5 * n * (_logdet(trial_factor) - logdet) - 0.5 * length * base_x \
+            - 0.5 * length * off_omega_x - 0.25 * length * length * off_x_x
+
+    return change
+
+
+def _line_search(
+    omega: np.ndarray, factor: np.ndarray, x: np.ndarray, gain: float, value: float,
+    change: Callable[[float, np.ndarray], float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Armijo halving of ``_newton_step`` (see there), each trial scored
+    by ``change``; ``value`` is f(omega).  Returns the accepted trial and its
+    factor, or a copy of ``omega`` with ``factor``."""
     length = 1.0
     for _ in range(_HALVINGS):
         trial = omega + length * x
         trial_factor, info = _POTRF(trial, lower=1, clean=0)
         if info == 0 and (
             length * gain <= _ROUNDING * abs(value)
-            or objective(trial, trial_factor) >= value + _ARMIJO * length * gain
+            or change(length, trial_factor) >= _ARMIJO * length * gain
         ):
             return trial, trial_factor
         length *= 0.5
@@ -829,6 +915,34 @@ def refit_precision(
     return omega
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x entrywise for x >= 0, exactly 0 where x is 0; log(0) is
+    never evaluated."""
+    out = np.zeros_like(x)
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
+    return out
+
+
+def _latent_entropies(latents: _LevelLatents) -> tuple[float, float]:
+    """One level's latent-threshold and indicator entropies.
+
+    The latent factor is a mixture of N(m, 1) truncated above zero (weight
+    p*) and below it, at the stored truncation location m; on each side
+    E[(z - m)^2] is 1 - m h_pos above zero and 1 + m h_neg below, with the
+    hazards and log Phi(+-m) of ``_probit_tails``.  The indicator entropy is
+    -sum p* log p* + (1 - p*) log(1 - p*), each product exactly 0 where its
+    probability is 0 (``_xlogx``).
+    """
+    pstar, m, _, _, (h_pos, h_neg, log_pos, log_neg) = latents
+    qstar = 1.0 - pstar
+    e_logq_above = -0.5 * _LOG_2PI - 0.5 * (1.0 - m * h_pos) - log_pos
+    e_logq_below = -0.5 * _LOG_2PI - 0.5 * (1.0 + m * h_neg) - log_neg
+    latent = float(-np.sum(pstar * e_logq_above + qstar * e_logq_below))
+    indicator = float(-np.sum(_xlogx(pstar) + _xlogx(qstar)))
+    return latent, indicator
+
+
 def _elbo_terms(
     state: VariationalState,
     hyper: Hyperparameters,
@@ -836,20 +950,20 @@ def _elbo_terms(
     ns: Mapping[int, int],
     covariate_model: bool,
     logdets: Mapping[int, float] | None = None,
-    tails: Mapping[int, tuple] | None = None,
+    latents: Mapping[int, _LevelLatents] | None = None,
 ) -> dict[str, float]:
     """All named ELBO contributions; their sum is the ELBO.
 
     No parameter-dependent term is dropped and constants are kept, so traces
     are comparable across iterations of one fit.  Every edge term is read on
-    the upper triangle.  The latent-threshold entropy takes hazards and
-    log Phi(+-m) at the stored truncation location from one ``erfcx`` per
-    pair (``_probit_tails``), and E[(z - m)^2] = 1 - m h_pos above zero and
-    1 + m h_neg below.  By default every term is computed from the state
-    alone.  ``fit`` passes what it already holds for the same state: each
-    level's log det(omega) from the Cholesky factor its Newton step
-    accepted, and the tails that ``update_edge_latents`` computed at the
-    stored location; both are then the values this function would compute.
+    the upper triangle.  The entropies of the latent thresholds and the
+    edge indicators come from ``_latent_entropies``.  By default every term
+    is computed from the state alone.  ``fit`` passes what it already holds
+    for the same state: each level's log det(omega) from the Cholesky factor
+    its Newton step accepted, and the ``_LevelLatents`` that
+    ``update_edge_latents`` left (p*, the truncation location, E[z], E[z^2]
+    and the location's probit tails); both are then the values this
+    function would read or compute.
     """
     p = state.p
     upper, _ = _triangle(p)
@@ -865,6 +979,7 @@ def _elbo_terms(
         n = ns[level]
         nu0 = hyper.nu0_for(level)
         a_val = state.probit_level(level)
+        level_latents = latents[level] if latents is not None else _stored_latents(state, level)
 
         if logdets is None:
             # Cholesky, not the sign of a determinant: an even number of
@@ -876,7 +991,7 @@ def _elbo_terms(
         terms[f"gaussian_loglik[{level}]"] = 0.5 * n * logdet \
             - 0.5 * float(np.sum(scatter * omega)) - 0.5 * n * p * _LOG_2PI
 
-        pstar = state.ppi[level].take(upper)
+        pstar, _, ez, ez2, _ = level_latents
         om = omega.take(upper)
         d = _expected_prior_precision(pstar, nu0, hyper.nu1)
         terms[f"edge_prior[{level}]"] = float(
@@ -889,26 +1004,14 @@ def _elbo_terms(
         terms[f"diagonal_prior[{level}]"] = p * math.log(hyper.lambda_diag / 2.0) \
             - 0.5 * hyper.lambda_diag * float(np.trace(omega))
 
-        ez = state.ez[level].take(upper)
-        ez2 = state.ez2[level].take(upper)
-        m_q = state.zloc[level].take(upper)
         m_bar = zm + a_val * bm
         index_var = zv + a_val * a_val * bv
         sq = ez2 - 2.0 * ez * m_bar + m_bar * m_bar + index_var
         terms[f"latent_loglik[{level}]"] = float(np.sum(-0.5 * _LOG_2PI - 0.5 * sq))
-
-        # E[(z - m)^2] is 1 - m h_pos above zero and 1 + m h_neg below.
-        h_pos, h_neg, log_pos, log_neg = (
-            tails[level] if tails is not None else _probit_tails(m_q)
-        )
-        e_logq_above = -0.5 * _LOG_2PI - 0.5 * (1.0 - m_q * h_pos) - log_pos
-        e_logq_below = -0.5 * _LOG_2PI - 0.5 * (1.0 + m_q * h_neg) - log_neg
-        terms[f"latent_entropy[{level}]"] = float(
-            -np.sum(pstar * e_logq_above + (1.0 - pstar) * e_logq_below)
-        )
-        terms[f"indicator_entropy[{level}]"] = float(
-            -np.sum(special.xlogy(pstar, pstar) + special.xlogy(1.0 - pstar, 1.0 - pstar))
-        )
+        (
+            terms[f"latent_entropy[{level}]"],
+            terms[f"indicator_entropy[{level}]"],
+        ) = _latent_entropies(level_latents)
 
     terms["zeta_prior"] = float(
         np.sum(
@@ -1026,9 +1129,10 @@ def fit(
     factor is carried: the line search's factorisation of the accepted
     matrix gives the ELBO its log-determinant and starts the next step, so
     each precision iterate is factored once; a given start's check supplies
-    the first factor.  Likewise the ELBO takes the probit tails that the
-    pass's edge-latent update computed at the truncation location it
-    stored.
+    the first factor.  Likewise the ELBO takes what the pass's edge-latent
+    update left on the upper triangle (p*, E[z], E[z^2], the truncation
+    location it stored and that location's probit tails) instead of reading
+    it back from the state's matrices.
     """
     if controls is None:
         controls = FitControls()
@@ -1047,10 +1151,10 @@ def fit(
     raw = np.array(levels, dtype=float)
     state.probit_levels = raw - raw.mean() if covariate_model else np.zeros_like(raw)
 
-    # Each level's Cholesky factor of state.omega, once known; ``tails`` holds
-    # the probit tails of the last edge-latent update, for the ELBO.
+    # Each level's Cholesky factor of state.omega, once known; ``latents``
+    # holds what the last edge-latent update of each level left for the ELBO.
     factors: dict[int, np.ndarray | None] = {a: None for a in levels}
-    tails: dict[int, tuple] = {}
+    latents: dict[int, _LevelLatents] = {}
     if start is None:
         start = {
             a: ridge_start(scatters[a], ns[a], hyper.nu1, hyper.lambda_diag) for a in levels
@@ -1086,7 +1190,7 @@ def fit(
         # The factor updates go through their module names so that they can
         # be wrapped from outside (the benchmark's tracer counts them).
         for a in levels:
-            update_edge_latents(state, at, a, tails)
+            update_edge_latents(state, at, a, latents)
         update_zeta(state, at)
         if covariate_model:
             update_beta(state, at)
@@ -1109,7 +1213,7 @@ def fit(
     for iteration in range(1, controls.max_iter + 1):
         coordinate_pass(hyper)
         logdets = {a: _logdet(factors[a]) for a in levels}
-        terms = _elbo_terms(state, hyper, scatters, ns, covariate_model, logdets, tails)
+        terms = _elbo_terms(state, hyper, scatters, ns, covariate_model, logdets, latents)
         elbo = float(sum(terms.values()))
         if not math.isfinite(elbo):
             bad = next(name for name, v in terms.items() if not math.isfinite(v))

@@ -90,11 +90,19 @@ def precision_recall(
     return precision, recall
 
 
-def _ordered_edges(matrix: np.ndarray, descending: bool) -> list[Edge]:
+def _first_edges(matrix: np.ndarray, k: int, descending: bool, keep=None) -> list[Edge]:
+    """The first k upper-triangle edges of ``matrix`` by value.
+
+    Edges are ordered by value, descending or ascending, ties broken by
+    (row, column) ascending; ``keep``, given, maps the ordered values to a
+    mask of the edges that may be chosen.  Only the chosen k become tuples.
+    """
     values, rows, cols = _upper_values(matrix)
-    keys = -values if descending else values
-    order = np.lexsort((cols, rows, keys))
-    return [(int(rows[k]), int(cols[k])) for k in order]
+    order = np.lexsort((cols, rows, -values if descending else values))
+    if keep is not None:
+        order = order[keep(values[order])]
+    order = order[:k]
+    return list(zip(rows[order].tolist(), cols[order].tolist()))
 
 
 def beta_sign_structure(
@@ -111,10 +119,8 @@ def beta_sign_structure(
         raise DataError("k must be non-negative")
     if k > values.size:
         raise DataError(f"k={k} exceeds the {values.size} available edges")
-    top = _ordered_edges(beta_mean, descending=True)[:k]
-    bottom = _ordered_edges(beta_mean, descending=False)[:k]
-    positive = frozenset(top)
-    negative = frozenset(bottom)
+    positive = frozenset(_first_edges(beta_mean, k, descending=True))
+    negative = frozenset(_first_edges(beta_mean, k, descending=False))
     if positive & negative:
         raise DataError("top and bottom selections overlap; reduce k")
     return positive, negative
@@ -132,9 +138,8 @@ def top_k_edge_subnetworks(
     """
     if k < 0:
         raise DataError("k must be non-negative")
-    matrix = np.asarray(beta_mean, dtype=float)
-    top = [e for e in _ordered_edges(matrix, descending=True) if matrix[e] > 0.0][:k]
-    bottom = [e for e in _ordered_edges(matrix, descending=False) if matrix[e] < 0.0][:k]
+    top = _first_edges(beta_mean, k, True, lambda v: v > 0.0)
+    bottom = _first_edges(beta_mean, k, False, lambda v: v < 0.0)
     return frozenset(top), frozenset(bottom)
 
 

@@ -149,6 +149,20 @@ class TestFileFormats:
         assert back_names == names
         assert np.array_equal(back, data)
 
+    def test_data_csv_bytes_match_the_value_formatter(self, tmp_path, rng):
+        # Each value as cli._format_float writes it, one call per value.
+        data = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-8, 9, size=(6, 5))
+        data[0, :] = [-0.0, 5e-324, 1e16, 1e-5, 0.0]
+        data[1, :3] = [-1e16, 1.7976931348623157e308, 0.1]
+        names = ("a", "b", "c", "d", "e")
+        path = tmp_path / "data.csv"
+        write_data_csv(str(path), data, names)
+        expected = "a,b,c,d,e\n" + "".join(
+            ",".join(cli._format_float(v) for v in row) + "\n" for row in data
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert "-0.0,5e-324,1e+16,1e-05,0.0\n" in expected
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_data_csv_rejects_non_finite_values(self, tmp_path, bad):
         path = tmp_path / "data.csv"
@@ -215,6 +229,10 @@ class TestWriteJson:
             {"s": ["\u00e9", "\u2603", "\n\"\\\t", "\U0001f600", ""], "\u00fc": "\u00e9"},
             {"v": [None, True, False, 0, -1, 10**30, 1.5]},
             {"m": [[1.0, 2.0], [3.0, float("nan")]], "t": ((1, 2), (3,)), "n": {"k": {}}},
+            # A list of dicts inside a list (the shape of nu0.json's
+            # "levels", one level deeper), and ragged lists of lists.
+            {"l": [[{"level": 2, "ebic": [1.5, None]}, {"b": 1, "a": [{}]}], []]},
+            {"r": [[1.0], [], [2.0, [3.0, [4.0]]], [[[]]]], "u": [[{"z": 0}], [1]]},
         ],
     )
     def test_matches_json_dump(self, tmp_path, doc):
@@ -659,6 +677,32 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert str(fit_path) in err and message in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda doc: doc["ppi"].update({"9": doc["ppi"].pop("4")}),
+          "'ppi' has levels [1, 2, 3, 9], the document has [1, 2, 3, 4]"),
+         (lambda doc: doc["ppi"].update({"2": [[0.5]]}),
+          "'ppi' at level 2 is 1 x 1, expected 12 x 12"),
+         (lambda doc: doc.update({"p": 13}), "p differs between")],
+        ids=["ppi-levels", "ppi-one-by-one", "p-differs"],
+    )
+    def test_ppi_disagreeing_with_the_document_is_three(
+        self, sim_dir, joint_fit_doc, tmp_path, capsys, change, message
+    ):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        change(doc)
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "evaluate", "--fit", str(fit_path), "--truth", str(sim_dir / "truth.json"),
+            "--out", str(tmp_path / "metrics.csv"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fit_path) in err and message in err
+        assert "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["fit.json"]
 
     @pytest.mark.parametrize(
         "doc, message",

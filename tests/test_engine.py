@@ -807,6 +807,30 @@ class TestNewtonStep:
         scaled, _ = engine._newton_step(omega / c2, c2 * scatter, n, d * c2 * c2, 1.3 * c2)
         assert np.max(np.abs(c2 * scaled - reference)) <= 1e-12 * np.max(np.abs(reference))
 
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    @pytest.mark.parametrize("n_per_p", [3.0, 0.3])
+    @pytest.mark.parametrize("nu0", [0.01, 0.05, 0.1])
+    def test_incremental_change_matches_direct_evaluation(self, rng, p, n_per_p, nu0):
+        # f(omega + alpha x) - f(omega) from three inner products and the
+        # trial's factor must equal the difference of two full evaluations.
+        n = max(2, int(n_per_p * p))
+        omega, scatter, d = self.inputs(rng, p, n, nu0)
+        base = scatter + 1.3 * np.eye(p)
+        off = d * (1.0 - np.eye(p))
+        factor = cholesky(omega, lower=True)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+        x = rng.standard_normal((p, p))
+        x = 0.5 * (x + x.T) / p
+        change = engine._change_along(omega, x, logdet, n, base, off, off * omega)
+        value = precision_objective(omega, scatter, n, d, 1.3)
+        for length in (1.0, 0.5, 0.125, 2.0**-20):
+            trial = omega + length * x
+            if not is_positive_definite(trial):
+                continue
+            direct = precision_objective(trial, scatter, n, d, 1.3) - value
+            got = change(length, cholesky(trial, lower=True))
+            assert abs(got - direct) <= 1e-9 * abs(value)
+
     def test_leaves_its_input_alone(self, rng):
         omega, scatter, d = self.inputs(rng, 8, 30, 0.05)
         given = omega.copy()
@@ -828,6 +852,122 @@ class TestNewtonStep:
         _, scatter, d = self.inputs(rng, 5, 30, 0.05)
         with pytest.raises(NumericalError, match="not positive definite"):
             engine._newton_step(-np.eye(5), scatter, 30, d, 1.0)
+
+
+def closure_line_search(omega, x, gain, scatter, n, d, lambda_diag):
+    """The line search as it evaluated ``f`` itself: every trial's
+    objective from its factor and two full inner products, compared with
+    ``f(omega)`` plus the Armijo share of the first-order gain.  Returns
+    the accepted trial, or omega when none is accepted."""
+    p = omega.shape[0]
+    base = scatter + lambda_diag * np.eye(p)
+    off = np.array(d, dtype=float)
+    np.fill_diagonal(off, 0.0)
+
+    def objective(matrix, matrix_factor):
+        return 0.5 * n * engine._logdet(matrix_factor) - 0.5 * float(np.vdot(base, matrix)) \
+            - 0.25 * float(np.vdot(off * matrix, matrix))
+
+    factor, _ = engine._POTRF(omega, lower=1, clean=0)
+    value = objective(omega, factor)
+    length = 1.0
+    for _ in range(engine._HALVINGS):
+        trial = omega + length * x
+        trial_factor, info = engine._POTRF(trial, lower=1, clean=0)
+        if info == 0 and (
+            length * gain <= engine._ROUNDING * abs(value)
+            or objective(trial, trial_factor) >= value + engine._ARMIJO * length * gain
+        ):
+            return trial
+        length *= 0.5
+    return omega
+
+
+class TestIncrementalLineSearch:
+    """On the states that fits reach, the line search that scores trials by
+    the objective's change accepts the trial that evaluating ``f`` would."""
+
+    @pytest.mark.parametrize("p", [50, 100])
+    def test_accepts_the_trial_of_the_closure_line_search(self, monkeypatch, p):
+        dataset, _ = simulate_experiment(SimulationConfig(p=p, seed=3))
+        data = dataset.prepare()
+        hyper = Hyperparameters.from_edge_count_prior(p, data.levels, 0.04)
+        state = fit(data, hyper, FitControls(max_iter=10, min_iter=10)).final_state
+        searches = []
+        line_search = engine._line_search
+
+        def recording(omega, factor, x, gain, value, change):
+            result = line_search(omega, factor, x, gain, value, change)
+            searches.append((omega, x, gain, result[0]))
+            return result
+
+        monkeypatch.setattr(engine, "_line_search", recording)
+        for a, y in zip(data.levels, data.data):
+            scatter, n = sample_covariance(y), y.shape[0]
+            d = engine._expected_prior_precision(state.ppi[a], hyper.nu0_for(a), hyper.nu1)
+            omega, factor = state.omega[a], None
+            for _ in range(5):
+                del searches[:]
+                omega, factor = engine._newton_step(omega, scatter, n, d, 1.0, factor)
+                (given, x, gain, accepted), = searches
+                expected = closure_line_search(given, x, gain, scatter, n, d, 1.0)
+                assert np.array_equal(accepted, expected)
+
+
+    @pytest.mark.parametrize("above", [1.9, 1000.0])
+    def test_halves_as_the_closure_line_search_does(self, rng, monkeypatch, above):
+        # The overshooting starts of TestNewtonStep, where the full step
+        # lowers f or leaves the cone and the search must halve.
+        p, n = 12, 36
+        _, scatter, _ = TestNewtonStep.inputs(rng, p, n, 0.05)
+        d = np.full((p, p), 1.0 / 0.05**2)
+        omega = above * np.diag(n / (np.diag(scatter) + 1.0))
+        searches = []
+        line_search = engine._line_search
+
+        def recording(omega, factor, x, gain, value, change):
+            result = line_search(omega, factor, x, gain, value, change)
+            searches.append((x, gain, result[0]))
+            return result
+
+        monkeypatch.setattr(engine, "_line_search", recording)
+        stepped, _ = engine._newton_step(omega, scatter, n, d, 1.0)
+        (x, gain, accepted), = searches
+        assert not np.array_equal(accepted, omega + x)
+        assert np.array_equal(accepted, closure_line_search(omega, x, gain, scatter, n, d, 1.0))
+
+
+class TestLatentEntropies:
+    @staticmethod
+    def latents(pstar, m):
+        pstar, m = np.asarray(pstar, dtype=float), np.asarray(m, dtype=float)
+        return engine._LevelLatents(pstar, m, m, 1.0 + m * m, engine._probit_tails(m))
+
+    def test_exact_zero_at_certain_indicators(self):
+        pstar = np.array([0.0, 1.0, 0.0, 1.0])
+        with np.errstate(all="raise"):
+            xlogx = engine._xlogx(pstar)
+            _, indicator = engine._latent_entropies(self.latents(pstar, [-3.0, 2.0, 0.0, 40.0]))
+        assert np.array_equal(xlogx, np.zeros(4))
+        assert indicator == 0.0
+
+    def test_silent_and_equal_to_xlogy(self, rng):
+        pstar = np.concatenate(([0.0, 1.0, 0.0, 1.0], rng.uniform(size=200)))
+        m = rng.uniform(-6.0, 6.0, size=pstar.size)
+        with np.errstate(all="raise"):
+            latent, indicator = engine._latent_entropies(self.latents(pstar, m))
+        assert math.isfinite(latent)
+        expected = -np.sum(special.xlogy(pstar, pstar) + special.xlogy(1.0 - pstar, 1.0 - pstar))
+        assert indicator == pytest.approx(expected, rel=1e-14)
+
+    def test_extremes_neither_overflow_nor_divide(self):
+        # Underflow in the far tails and at subnormal p* is exact enough and
+        # stays ignored, as by default; log(0) and 0 * inf never happen.
+        pstar = np.array([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 0.0])
+        m = np.array([-40.0, 40.0, -38.0, 38.0, 0.0, 1e-300])
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            latent, indicator = engine._latent_entropies(self.latents(pstar, m))
+        assert math.isfinite(latent) and math.isfinite(indicator)
 
 
 def gathered_sweep(omega, w, scatter, n, d, lambda_diag, columns=None):

@@ -245,6 +245,50 @@ class TestTopKEdgeSubnetworks:
         assert len(negative & truth.disappearing) / k >= 0.7
 
 
+def sorted_edges_reference(beta, descending, keep=lambda value: True):
+    """Every upper-triangle edge as a tuple, sorted in Python by value and
+    then (row, column), with only those whose value ``keep`` accepts."""
+    p = beta.shape[0]
+    edges = [(i, j) for i in range(p) for j in range(i + 1, p) if keep(beta[i, j])]
+    sign = -1.0 if descending else 1.0
+    return sorted(edges, key=lambda e: (sign * beta[e], e))
+
+
+class TestSelectionAgainstPythonSort:
+    """The NumPy selection of both top-k functions against a plain sort of
+    all edges, on matrices full of ties and zeros (-0.0 among them)."""
+
+    @staticmethod
+    def tied_matrix(rng, p):
+        values = np.array([-2.0, -0.5, -0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
+        m = np.triu(rng.choice(values, size=(p, p)), 1)
+        return m + m.T
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_top_k_edge_subnetworks(self, seed):
+        rng = np.random.default_rng(seed)
+        beta = self.tied_matrix(rng, 9)
+        positive = sorted_edges_reference(beta, True, lambda v: v > 0.0)
+        negative = sorted_edges_reference(beta, False, lambda v: v < 0.0)
+        # k beyond one sign's count truncates that side only.
+        for k in (0, 1, 3, len(positive), len(negative), max(len(positive), len(negative)) + 4):
+            got = top_k_edge_subnetworks(beta, k)
+            assert got == (frozenset(positive[:k]), frozenset(negative[:k]))
+            assert all(type(i) is int and type(j) is int for i, j in got[0] | got[1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_beta_sign_structure(self, seed):
+        rng = np.random.default_rng(seed)
+        beta = self.tied_matrix(rng, 9)
+        top, bottom = sorted_edges_reference(beta, True), sorted_edges_reference(beta, False)
+        for k in (0, 1, 4, 10):
+            if set(top[:k]) & set(bottom[:k]):
+                with pytest.raises(DataError, match="overlap"):
+                    beta_sign_structure(beta, k)
+            else:
+                assert beta_sign_structure(beta, k) == (frozenset(top[:k]), frozenset(bottom[:k]))
+
+
 class TestRankNodesByBeta:
     def test_empty_filter_identity_order(self):
         ranking = rank_nodes_by_beta(np.zeros((4, 4)), set())
