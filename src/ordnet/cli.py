@@ -172,6 +172,13 @@ def read_data_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         if not header:
             raise DataError(f"{path}: missing header row")
         names = tuple(part.strip() for part in header.split(","))
+        seen = set()
+        for column, name in enumerate(names, start=1):
+            if not name:
+                raise DataError(f"{path}: empty column name in column {column} of the header")
+            if name in seen:
+                raise DataError(f"{path}: duplicate column name '{name}' in the header")
+            seen.add(name)
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -257,18 +264,34 @@ def load_grouped_dataset(manifest_path: str) -> GroupedDataset:
         raise DataError(f"{manifest_path}: {exc}")
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+
+
+def _float_matrix_json(matrix: np.ndarray) -> str:
+    """``json.dumps(matrix.tolist(), separators=(",", ":"))`` for a finite
+    float64 matrix, with ``float.__repr__`` called once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its own text; a
+    symmetric matrix costs about half its entries, a constant one a single
+    call.
+    """
+    bits, index = np.unique(np.ascontiguousarray(matrix).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    cells = texts[index.reshape(matrix.shape)].tolist()
+    return "[" + ",".join(["[" + ",".join(row) + "]" for row in cells]) + "]"
 
 
 def _json_chunks(value):
     """``value`` encoded as ``json.dump(value, fh, sort_keys=True,
-    separators=(",", ":"))`` writes it, in pieces.
+    separators=(",", ":"), default=np.ndarray.tolist)`` writes it, in pieces.
 
-    Dicts, and lists that hold a dict, are walked here; every other value
-    (a matrix, a number, a string) is encoded whole by the C encoder, which
-    ``json.dump`` itself never uses.  So a matrix costs one encoder call, and
-    no string of the whole document is built.  Keys are sorted and converted
-    as ``json.dump`` does: a number, bool or None key becomes its JSON text.
+    Dicts, and lists that hold a dict, are walked here, and a finite float64
+    matrix is formatted by ``_float_matrix_json``; every other value (any
+    other array, a list, a number, a string) is encoded whole by the C
+    encoder, which ``json.dump`` itself never uses, an array as its
+    ``tolist()``.  So a matrix costs one call, and no string of the whole
+    document is built.  Keys are sorted and converted as ``json.dump`` does:
+    a number, bool or None key becomes its JSON text.
     """
     if isinstance(value, dict):
         yield "{"
@@ -289,6 +312,11 @@ def _json_chunks(value):
                 yield ","
             yield from _json_chunks(item)
         yield "]"
+    elif (
+        isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2
+        and np.isfinite(value).all()
+    ):
+        yield _float_matrix_json(value)
     else:
         yield _ENCODER.encode(value)
 
@@ -477,11 +505,11 @@ def cmd_fit(
                 "converged": report.converged,
                 "iterations": report.iterations,
                 "elbo_trace": list(report.elbo_trace),
-                "ppi": {str(a): state.ppi[a].tolist() for a in dataset.levels},
-                "omega": {str(a): state.omega[a].tolist() for a in dataset.levels},
-                "zeta_mean": state.zeta_mean.tolist(),
-                "beta_mean": state.beta_mean.tolist(),
-                "beta_var": state.beta_var.tolist(),
+                "ppi": {str(a): state.ppi[a] for a in dataset.levels},
+                "omega": {str(a): state.omega[a] for a in dataset.levels},
+                "zeta_mean": state.zeta_mean,
+                "beta_mean": state.beta_mean,
+                "beta_var": state.beta_var,
                 "sigma_shape": state.sigma_shape,
                 "sigma_rate": state.sigma_rate,
             }
@@ -499,9 +527,9 @@ def cmd_fit(
                 "converged": {str(a): fits[a].converged for a in dataset.levels},
                 "iterations": {str(a): fits[a].iterations for a in dataset.levels},
                 "elbo_trace": {str(a): list(fits[a].elbo_trace) for a in dataset.levels},
-                "ppi": {str(a): fits[a].ppi.tolist() for a in dataset.levels},
-                "omega": {str(a): fits[a].omega.tolist() for a in dataset.levels},
-                "zeta_mean": {str(a): fits[a].state.zeta_mean.tolist() for a in dataset.levels},
+                "ppi": {str(a): fits[a].ppi for a in dataset.levels},
+                "omega": {str(a): fits[a].omega for a in dataset.levels},
+                "zeta_mean": {str(a): fits[a].state.zeta_mean for a in dataset.levels},
             }
         )
         for a, fit in fits.items():
@@ -578,11 +606,19 @@ def cmd_rank(fit_path: str, k: int, out_prefix: str) -> int:
             "estimates with ols_beta_proxy"
         )
     beta = _field(fit_doc, fit_path, "beta_mean", _matrix)
+    p = beta.shape[0]
+    if "p" in fit_doc and _field(fit_doc, fit_path, "p", int) != p:
+        raise DataError(
+            f"{fit_path}: 'beta_mean' is {p} x {p}, expected {fit_doc['p']} x {fit_doc['p']}"
+        )
     names = []
     if "variable_names" in fit_doc:
         names = _field(fit_doc, fit_path, "variable_names", _names)
-    if len(names) != beta.shape[0]:
-        names = [f"var{i + 1:04d}" for i in range(beta.shape[0])]
+    if names and len(names) != p:
+        raise DataError(
+            f"{fit_path}: 'variable_names' has {len(names)} names for {p} nodes in 'beta_mean'"
+        )
+    names = names or [f"var{i + 1:04d}" for i in range(p)]
     positive, negative = top_k_edge_subnetworks(beta, k)
     ranking = rank_nodes_by_beta(beta, positive | negative)
     nodes_path = out_prefix + "_nodes.csv"

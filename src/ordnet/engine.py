@@ -800,6 +800,41 @@ def _line_search(
 _RIDGE_STEPS = 50
 _RIDGE_TOL = 1e-12
 _RIDGE_STALL = 1e-4
+# Conjugate-gradient iterations on each step's Newton system.
+_RIDGE_CG_ITERATIONS = 3
+
+
+def _ridge_spectrum(
+    system: np.ndarray, slab: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ridge_start``'s closed form for ``B = system`` and its Newton kernel.
+
+    With ``B = V diag(b) V'`` returns ``V``, ``g(b)`` and the p x p matrix
+    ``1 - h_kl``, where ``h_kl = (gap_k + gap_l) / (2 (root_k + root_l))``
+    with ``root = sqrt(b^2 + 4dn)`` and ``gap = root - b`` is ``-d`` times
+    the divided difference of ``g`` at ``b_k, b_l`` (its derivative where
+    ``k = l``).  ``1 - h_kl = (rest_k + rest_l) / (2 (root_k + root_l))``
+    with ``rest = root + b`` lies in (0, 1); ``gap`` and ``rest`` are each
+    formed without cancellation (their product is ``4dn``), so the kernel
+    stays positive however close ``h`` comes to 1.
+    """
+    b, v = np.linalg.eigh(system)
+    root = np.sqrt(b * b + 4.0 * slab * n)
+    gap = np.where(b > 0.0, 4.0 * slab * n / (root + b), root - b)
+    rest = np.where(b > 0.0, root + b, 4.0 * slab * n / gap)
+    kernel = (rest[:, None] + rest[None, :]) / (2.0 * (root[:, None] + root[None, :]))
+    return v, gap / (2.0 * slab), kernel
+
+
+def _ridge_newton_product(v: np.ndarray, kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``(I - J) u`` for ``ridge_start``'s fixed point, from ``_ridge_spectrum``.
+
+    ``J u = diag(V (H o (V' diag(u) V)) V')`` and ``diag(V (V' diag(u) V)
+    V') = u``, so ``(I - J) u = diag(V ((1 - H) o (V' diag(u) V)) V')``: two
+    p x p products and no cancellation.
+    """
+    inner = kernel * (v.T @ (u[:, None] * v))
+    return np.sum((v @ inner) * v, axis=1)
 
 
 def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> np.ndarray:
@@ -813,15 +848,20 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     closed form: with ``B = V diag(b) V'``, ``omega = V diag(g(b)) V'``,
     where ``g(b) = (sqrt(b^2 + 4dn) - b) / (2d) > 0`` is the positive root
     of ``n/g - d g = b``.  What remains is the p-dimensional fixed point
-    ``delta = F(delta) := diag(omega(delta))``, one ``eigh`` per step.  ``F`` is a contraction: its Jacobian is
+    ``delta = F(delta) := diag(omega(delta))``, one ``eigh`` per step.
+    ``F`` is a contraction: its Jacobian ``J``, with ``J u = diag(V (H o
+    (V' diag(u) V)) V')`` (``h_kl`` as in ``_ridge_spectrum``), is
     symmetric with eigenvalues in [0, 1), because ``d |g'(b)| = (1 - b /
     sqrt(b^2 + 4dn)) / 2 < 1``.  They approach 1 where ``B`` has
     eigenvalues far below ``-sqrt(dn)`` (n << p with a narrow slab), and
-    there plain iteration needs thousands of steps.  Each step therefore
-    divides ``F(delta) - delta`` entrywise by one minus the Jacobian's
-    diagonal (a Newton step with the diagonal of the Jacobian, one more
-    p x p product).  From a positive ``delta`` it stops once a step moves no
-    diagonal entry by more than 1e-12 of the largest, once a step below
+    there plain iteration needs thousands of steps.  Each step is therefore
+    an inexact Newton step (Dembo, Eisenstat & Steihaug, 1982): three
+    conjugate-gradient iterations from zero on ``(I - J) s = F(delta) -
+    delta``, whose matrix is positive definite, preconditioned by its
+    diagonal.  A product with ``I - J`` costs two p x p products and no
+    ``eigh`` (``_ridge_newton_product``), so a step costs one ``eigh`` and
+    seven p x p products.  From a positive ``delta`` it stops once a step
+    moves no diagonal entry by more than 1e-12 of the largest, once a step below
     1e-4 of it no longer shrinks (the iteration has stalled at rounding
     level, which happens far above 1e-12 for data on a very small or large
     scale), or after 50 steps.  Every step yields a positive-definite omega,
@@ -837,16 +877,26 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     previous = math.inf
     for _ in range(_RIDGE_STEPS):
         np.fill_diagonal(system, base - slab * delta)
-        b, v = np.linalg.eigh(system)
-        root = np.sqrt(b * b + 4.0 * slab * n)
-        # root - b, without cancellation where b > 0.
-        gap = np.where(b > 0.0, 4.0 * slab * n / (root + b), root - b)
-        g = gap / (2.0 * slab)
+        v, g, kernel = _ridge_spectrum(system, slab, n)
+        # Jacobi-preconditioned CG on (I - J) step = F(delta) - delta.
         squares = v * v
-        # The Jacobian of F is sum_kl h_kl (v_k * v_l)(v_k * v_l)' with
-        # h_kl = (gap_k + gap_l) / (2 (root_k + root_l)) in (0, 1).
-        h = (gap[:, None] + gap[None, :]) / (2.0 * (root[:, None] + root[None, :]))
-        step = (squares @ g - delta) / (1.0 - np.sum((squares @ h) * squares, axis=1))
+        resid = squares @ g - delta
+        diagonal = np.sum((squares @ kernel) * squares, axis=1)
+        step = np.zeros(p)
+        z = resid / diagonal
+        direction = z
+        rz = float(resid @ z)
+        for _ in range(_RIDGE_CG_ITERATIONS):
+            if rz == 0.0:
+                break
+            image = _ridge_newton_product(v, kernel, direction)
+            alpha = rz / float(direction @ image)
+            step += alpha * direction
+            resid -= alpha * image
+            z = resid / diagonal
+            rz_next = float(resid @ z)
+            direction = z + (rz_next / rz) * direction
+            rz = rz_next
         # An overshoot can leave entries of delta negative: never stop there.
         scaled = float(np.max(np.abs(step)) / np.max(np.abs(delta)))
         if np.min(delta) > 0.0 and (scaled <= _RIDGE_TOL or previous <= scaled <= _RIDGE_STALL):

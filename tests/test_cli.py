@@ -190,7 +190,7 @@ class TestFileFormats:
 def json_dumped(doc) -> bytes:
     """What the file of ``write_json(path, doc)`` must hold: json.dump's bytes."""
     buffer = io.StringIO()
-    json.dump(doc, buffer, sort_keys=True, separators=(",", ":"))
+    json.dump(doc, buffer, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
     return (buffer.getvalue() + "\n").encode("utf-8")
 
 
@@ -239,6 +239,31 @@ class TestWriteJson:
         path = tmp_path / "doc.json"
         write_json(str(path), doc)
         assert path.read_bytes() == json_dumped(doc)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[-0.0, 0.0], [0.0, -0.0]]),
+            np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+            (np.arange(12.0).reshape(3, 4) / 7.0).T,
+            np.array([[0.1, 0.2, 0.3], [0.3, 0.1, 5e-324], [1e300, -2.5, 0.1]]),
+            np.full((4, 4), 2.0 / 3.0),
+            np.zeros((2, 0)),
+            np.zeros((0, 3)),
+            np.array([0.1, -0.0, 0.1]),
+            np.arange(6).reshape(2, 3),
+            np.array([[1.5, 2.5]], dtype=np.float32),
+        ],
+        ids=["signed-zeros", "non-finite", "transposed", "non-symmetric", "constant",
+             "no-columns", "no-rows", "one-dimensional", "integer", "float32"],
+    )
+    def test_arrays_match_json_dump_of_their_lists(self, tmp_path, matrix):
+        path = tmp_path / "doc.json"
+        doc = {"m": matrix, "in_list": [matrix], "levels": [{"m": matrix}]}
+        write_json(str(path), doc)
+        listed = {"m": matrix.tolist(), "in_list": [matrix.tolist()],
+                  "levels": [{"m": matrix.tolist()}]}
+        assert path.read_bytes() == json_dumped(doc) == json_dumped(listed)
 
     @pytest.mark.parametrize("doc", [{(1, 2): 3}, {1: 0, "a": 0}, {"a": object()}])
     def test_refuses_what_json_dump_refuses(self, tmp_path, doc):
@@ -767,6 +792,64 @@ class TestExitCodes:
         assert main(["rank", "--fit", str(fit_path), "--k", "3", "--out-prefix", prefix]) == 0
         rows = (tmp_path / "r_nodes.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert rows and all(row.split(",")[2].startswith("var") for row in rows)
+
+    @pytest.mark.parametrize(
+        "change, field, message",
+        [(lambda doc: doc.update(variable_names=doc["variable_names"][:7]), "variable_names",
+          "'variable_names' has 7 names for 12 nodes"),
+         (lambda doc: doc.update(variable_names=doc["variable_names"] + ["extra"]),
+          "variable_names", "'variable_names' has 13 names for 12 nodes"),
+         (lambda doc: doc.update(beta_mean=[row[:11] for row in doc["beta_mean"][:11]]),
+          "beta_mean", "'beta_mean' is 11 x 11, expected 12 x 12"),
+         (lambda doc: doc.update(p=13), "beta_mean", "'beta_mean' is 12 x 12, expected 13 x 13")],
+        ids=["seven-names", "thirteen-names", "beta-too-small", "p-too-large"],
+    )
+    def test_rank_fields_disagreeing_with_the_document_are_three(
+        self, joint_fit_doc, tmp_path, capsys, change, field, message
+    ):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        change(doc)
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["rank", "--fit", str(fit_path), "--out-prefix", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fit_path) in err and message in err and f"'{field}'" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["fit.json"]
+
+    def test_empty_variable_names_fall_back(self, joint_fit_doc, tmp_path):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        doc["variable_names"] = []
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc), encoding="utf-8")
+        prefix = str(tmp_path / "r")
+        assert main(["rank", "--fit", str(fit_path), "--k", "3", "--out-prefix", prefix]) == 0
+        rows = (tmp_path / "r_nodes.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(row.split(",")[2].startswith("var") for row in rows)
+
+    @pytest.mark.parametrize(
+        "rename, message",
+        [(lambda names: [names[0]] + names[:-1], "duplicate column name 'var0001'"),
+         (lambda names: names[:3] + [""] + names[4:], "empty column name in column 4")],
+        ids=["duplicate", "empty"],
+    )
+    def test_bad_data_header_is_three(self, sim_dir, tmp_path, capsys, rename, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        for source in sim_dir.glob("*.csv"):
+            (data / source.name).write_bytes(source.read_bytes())
+        csv = data / "data_level_2.csv"
+        header, rest = csv.read_text(encoding="utf-8").split("\n", 1)
+        csv.write_text(",".join(rename(header.split(","))) + "\n" + rest, encoding="utf-8")
+        config = write_config(tmp_path / "fit.conf", "nu0 = 0.04", "max_iter = 5")
+        code = main([
+            "fit", "--config", config, "--manifest", str(data / "manifest.csv"),
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(csv) in err and message in err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_nu0_from_config_and_report_is_config_error(self, sim_dir, tmp_path, capsys):
         report_path = str(tmp_path / "nu0.json")

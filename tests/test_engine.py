@@ -1114,6 +1114,69 @@ class TestRidgeStart:
         converged = ridge_start(scatter, n, nu1, 1.0)
         assert np.max(np.abs(omega - converged)) > 1e-3 * np.max(np.abs(converged))
 
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    @pytest.mark.parametrize("n", [1, 20])
+    @pytest.mark.parametrize("nu1", [0.1, 1.0])
+    def test_newton_product_is_one_minus_the_jacobian(self, rng, p, n, nu1):
+        # J = dF/d(delta) from its definition: F(delta) = diag(V g(B) V') with
+        # B = S + lambda I - d Diag(delta), so by the Daleckii-Krein formula
+        # J_ij = -d sum_kl V_ik V_il V_jk V_jl g[b_k, b_l], where g[., .] is
+        # g's divided difference (its derivative on the diagonal).
+        scatter, lambda_diag, slab = self.inputs(rng, p, n), 0.5, 1.0 / (nu1 * nu1)
+        delta = rng.uniform(0.5, 2.0, p)
+        system = scatter + np.diag(lambda_diag - slab * delta)
+        b, v = np.linalg.eigh(system)
+
+        def g(x):
+            return (np.sqrt(x * x + 4.0 * slab * n) - x) / (2.0 * slab)
+
+        slope = (b / np.sqrt(b * b + 4.0 * slab * n) - 1.0) / (2.0 * slab)
+        rise, run = g(b)[:, None] - g(b)[None, :], b[:, None] - b[None, :]
+        divided = np.where(np.eye(p, dtype=bool), np.diag(slope), rise / (run + np.eye(p)))
+        pairs = np.einsum("ik,il->ikl", v, v)
+        jacobian = -slab * np.einsum("ikl,kl,jkl->ij", pairs, divided, pairs)
+
+        vectors, values, kernel = engine._ridge_spectrum(system, slab, n)
+        assert np.allclose(values, g(b), rtol=1e-13, atol=0.0)
+        product = np.column_stack(
+            [engine._ridge_newton_product(vectors, kernel, u) for u in np.eye(p)]
+        )
+        expected = np.eye(p) - jacobian
+        assert np.max(np.abs(product - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.allclose(product, product.T, rtol=0.0, atol=1e-14)
+        assert np.min(np.linalg.eigvalsh(expected)) > 0.0
+        # The divided differences are the derivative: a central difference
+        # of F agrees.
+        step = 1e-6 * np.max(delta)
+        for j in range(p):
+            shift = np.zeros(p)
+            shift[j] = step
+            plus = np.linalg.eigh(system - slab * np.diag(shift))
+            minus = np.linalg.eigh(system + slab * np.diag(shift))
+            column = ((plus[1] ** 2) @ g(plus[0]) - (minus[1] ** 2) @ g(minus[0])) / (2 * step)
+            assert np.allclose(column, jacobian[:, j], rtol=1e-5, atol=1e-7)
+
+    def test_paper_design_start_takes_at_most_five_eigendecompositions(self, rng, monkeypatch):
+        p, n = 100, 150
+        y = rng.standard_normal((n, p))
+        scatter = sample_covariance(y - y.mean(axis=0))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        omega = ridge_start(scatter, n, 1.0, 1.0)
+        monkeypatch.undo()
+        self.assert_valid(omega)
+        assert len(calls) <= 5
+        w = cho_solve(cho_factor(omega, lower=True), np.eye(p))
+        base = scatter + np.eye(p)
+        residual = n * w - base - (omega - np.diag(np.diag(omega)))
+        assert np.max(np.abs(residual)) <= 1e-11 * max(np.max(np.abs(base)), n * np.max(w))
+
 
 class TestComputeElbo:
     def test_indicator_entropy_at_half(self, rng):
