@@ -10,29 +10,65 @@ Commands
 Configuration is a plain-text file of ``key = value`` lines ('#' comments);
 unknown keys are rejected.  Exit codes: 0 success, 2 configuration error,
 3 data/file error, 4 numerical failure.
+
+Importing this module loads NumPy, ``ordnet.core`` and ``ordnet.metrics``
+only, so ``--help``, ``evaluate`` and ``rank`` never load SciPy.  ``simulate``
+imports ``ordnet.simulate`` (and with it ``scipy.linalg``) when it starts;
+``select-nu0`` and ``fit`` import ``ordnet.engine``, ``.baseline`` and
+``.selection``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
 import sys
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .baseline import fit_ssl
 from .core import DataError, GroupedDataset, NumericalError, parallel_map
-from .engine import FitControls, Hyperparameters, intercept_prior
-from .engine import fit as engine_fit
 from .metrics import evaluate_fit, rank_nodes_by_beta, top_k_edge_subnetworks
-from .selection import Nu0SearchConfig, line_search_nu0
-from .simulate import SimulationConfig, SimulationTruth, simulate_experiment
+
+if TYPE_CHECKING:
+    from .simulate import SimulationTruth
 
 SCHEMA_VERSION = "1.0"
+
+# The names that need SciPy, as (submodule, name).  ``__getattr__`` imports
+# each on first access and keeps it as a module attribute; a command fetches
+# them from the module with ``_late`` when it runs, so that a name set on
+# this module (a test's spy, the benchmark's tracer) is the one it calls.
+_LATE = {
+    "engine_fit": ("engine", "fit"),
+    "fit_ssl": ("baseline", "fit_ssl"),
+    "line_search_nu0": ("selection", "line_search_nu0"),
+    "simulate_experiment": ("simulate", "simulate_experiment"),
+    "Hyperparameters": ("engine", "Hyperparameters"),
+    "FitControls": ("engine", "FitControls"),
+    "intercept_prior": ("engine", "intercept_prior"),
+    "Nu0SearchConfig": ("selection", "Nu0SearchConfig"),
+    "SimulationConfig": ("simulate", "SimulationConfig"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LATE[name]
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+    globals()[name] = value
+    return value
+
+
+def _late(*names: str) -> list:
+    """The named module attributes, looked up on this module now."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
 
 
 class ConfigError(ValueError):
@@ -410,6 +446,7 @@ def _check_output_dir(path: str) -> None:
 
 
 def cmd_simulate(cfg: Mapping[str, object], out_dir: str) -> int:
+    SimulationConfig, simulate_experiment = _late("SimulationConfig", "simulate_experiment")
     sim = _configured(SimulationConfig, cfg, _SIMULATION_KEYS)
     replicates = int(cfg.get("replicates", 1))
     os.makedirs(out_dir, exist_ok=True)
@@ -433,6 +470,10 @@ def cmd_simulate(cfg: Mapping[str, object], out_dir: str) -> int:
 
 
 def cmd_select_nu0(cfg: Mapping[str, object], manifest: str, out: str) -> int:
+    FitControls, Hyperparameters, Nu0SearchConfig, intercept_prior, line_search_nu0 = _late(
+        "FitControls", "Hyperparameters", "Nu0SearchConfig", "intercept_prior",
+        "line_search_nu0",
+    )
     _check_output_dir(out)
     dataset = load_grouped_dataset(manifest).prepare()
     nu1 = cfg.get("nu1", Hyperparameters.nu1)
@@ -477,6 +518,9 @@ def cmd_select_nu0(cfg: Mapping[str, object], manifest: str, out: str) -> int:
 def cmd_fit(
     cfg: Mapping[str, object], manifest: str, out: str, method: str | None, nu0_report: str | None
 ) -> int:
+    FitControls, Hyperparameters, intercept_prior, engine_fit, fit_ssl = _late(
+        "FitControls", "Hyperparameters", "intercept_prior", "engine_fit", "fit_ssl"
+    )
     _check_output_dir(out)
     method = method if method is not None else str(cfg.get("method", "joint"))
     dataset = load_grouped_dataset(manifest).prepare()
@@ -539,6 +583,30 @@ def cmd_fit(
     return 0
 
 
+METRICS_HEADER = "replicate,method,level,auc,precision,recall"
+
+
+def _metrics_start(path: str, append: bool) -> tuple[str, str]:
+    """The mode to open a metrics table in, and the text to write before its rows.
+
+    Without ``append``, or with a missing or empty file, the table starts
+    afresh with its header.  Any other file must begin with the header; the
+    rows follow a line break if its last line lacks one.
+    """
+    if append and os.path.isfile(path):
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            if first:
+                if first.rstrip(b"\r\n") != METRICS_HEADER.encode():
+                    raise DataError(
+                        f"{path}: cannot append metrics rows, the first line is not "
+                        f"the header '{METRICS_HEADER}'"
+                    )
+                fh.seek(-1, os.SEEK_END)
+                return "a", "" if fh.read(1) == b"\n" else "\n"
+    return "w", METRICS_HEADER + "\n"
+
+
 def cmd_evaluate(
     fit_path: str,
     truth_path: str,
@@ -550,6 +618,7 @@ def cmd_evaluate(
     fit_doc = read_json(fit_path, expected_kind="fit")
     truth_doc = read_json(truth_path, expected_kind="truth")
     _check_output_dir(out_csv)
+    mode, preamble = _metrics_start(out_csv, append)
     fit_levels = _field(fit_doc, fit_path, "levels", lambda v: [int(a) for a in v])
     truth_levels = _field(truth_doc, truth_path, "levels", lambda v: [int(a) for a in v])
     if set(fit_levels) != set(truth_levels):
@@ -576,10 +645,8 @@ def cmd_evaluate(
     )
     report = evaluate_fit(ppi, adjacency, threshold)
     method = _field(fit_doc, fit_path, "method", str)
-    fresh = not (append and os.path.isfile(out_csv))
-    with open(out_csv, "w" if fresh else "a", encoding="utf-8", newline="") as fh:
-        if fresh:
-            fh.write("replicate,method,level,auc,precision,recall\n")
+    with open(out_csv, mode, encoding="utf-8", newline="") as fh:
+        fh.write(preamble)
         for level in sorted(report.per_level):
             row = report.per_level[level]
             fh.write(

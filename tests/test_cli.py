@@ -5,8 +5,6 @@ import io
 import json
 import math
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +523,35 @@ class TestEvaluateCommand:
         assert len(rows) == 9
         assert {row.split(",")[0] for row in rows[1:]} == {"0", "1"}
 
+    @pytest.mark.parametrize("start", ["", cli.METRICS_HEADER], ids=["empty", "no-newline"])
+    def test_append_starts_rows_on_a_line_of_their_own(
+        self, sim_dir, joint_fit_doc, tmp_path, start
+    ):
+        out_csv = tmp_path / "metrics.csv"
+        out_csv.write_text(start)
+        code = main([
+            "evaluate", "--fit", str(joint_fit_doc), "--truth", str(sim_dir / "truth.json"),
+            "--out", str(out_csv), "--append",
+        ])
+        assert code == 0
+        rows = out_csv.read_text().splitlines()
+        assert rows[0] == cli.METRICS_HEADER
+        assert len(rows) == 5 and all(row.count(",") == 5 for row in rows)
+
+    def test_append_refuses_a_file_with_another_header(
+        self, sim_dir, joint_fit_doc, tmp_path, capsys
+    ):
+        out_csv = tmp_path / "metrics.csv"
+        out_csv.write_text("rank,node,name,score\n1,0,var0001,0.5\n")
+        code = main([
+            "evaluate", "--fit", str(joint_fit_doc), "--truth", str(sim_dir / "truth.json"),
+            "--out", str(out_csv), "--append",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(out_csv) in err and cli.METRICS_HEADER in err
+        assert out_csv.read_text() == "rank,node,name,score\n1,0,var0001,0.5\n"
+
     def test_schema_version_rejected(self, sim_dir, tmp_path):
         doc = json.loads((sim_dir / "truth.json").read_text())
         doc["schema_version"] = "9.1"
@@ -866,18 +893,3 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'nu0'" in err and "--nu0-report" in err
         assert not (tmp_path / "fit.json").exists()
-
-
-def test_import_loads_no_scipy_beyond_linalg_and_special():
-    # A fresh interpreter: the test process has imported scipy.stats itself.
-    script = (
-        "import sys, ordnet, ordnet.cli\n"
-        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules"
-        " if m.startswith('scipy.')})))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    )
-    loaded = set(done.stdout.split())
-    public = {name for name in loaded if not name.startswith("_") and name != "version"}
-    assert public <= {"linalg", "special"}, sorted(public)
