@@ -17,9 +17,10 @@ products formed once per step, so a trial costs one Cholesky factorisation.
 The factor is carried: the line search's Cholesky factor of each accepted
 matrix gives the ELBO its log-determinant and starts the next step, so the
 precision path holds each matrix and its factor and nothing else.  Each matrix starts from
-the all-slab ridge estimate (``ridge_start``).  The textbook column-wise
-conditional-maximisation sweep (``cm_update_precision``, O(p^4)) is kept
-only as the reference form of the precision update; ``fit`` never runs it.
+the all-slab ridge estimate (``ridge_start``).  The step raises the
+precision objective without maximising it, a conditional step in the sense
+of generalised EM; ``cm_update_precision`` takes it on one level of a
+state.
 
 Factors updated each iteration, in this fixed order:
   1. joint edge indicator / latent threshold (per level),
@@ -40,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import special
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
 
@@ -563,49 +564,6 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _cm_sweep(
-    omega: np.ndarray,
-    scatter: np.ndarray,
-    n: int,
-    d: np.ndarray,
-    lambda_diag: float,
-    columns=None,
-) -> None:
-    """Blockwise conditional-maximisation pass over columns, in place.
-
-    ``d`` holds the expected prior precision of each off-diagonal entry.
-    Column j's update is the graphical-lasso block solve (Friedman, Hastie
-    & Tibshirani, Biostatistics 2008): with the other indices ``-j``, ``q =
-    inv(omega[-j, -j])`` and ``s22 = s_jj + lambda``, it solves ``(s22 q +
-    diag(d[-j, j])) u = -s[-j, j]`` by Cholesky, writes u into row and
-    column j and sets ``omega_jj = n / s22 + u' q u``.  This solves the
-    column's stationary conditions exactly and keeps the Schur complement
-    at ``n / s22 > 0``, so positive definiteness is preserved.  A column
-    costs O(p^3), a sweep O(p^4).  A column system that is not positive
-    definite raises ``NumericalError``.
-    """
-    p = omega.shape[0]
-    for j in range(p) if columns is None else columns:
-        rest = np.delete(np.arange(p), j)
-        block_factor, info = _POTRF(omega[np.ix_(rest, rest)], lower=1, clean=0)
-        if info > 0:
-            raise NumericalError("precision matrix is not positive definite")
-        q = _inverse_from_factor(block_factor)
-        s22 = scatter[j, j] + lambda_diag
-        system = s22 * q
-        system[np.diag_indices(p - 1)] += d[rest, j]
-        factor, info = _POTRF(system, lower=1, clean=0)
-        if info > 0:
-            raise NumericalError(
-                "singular column system in the precision update; "
-                "increase nu0 or lambda_diag"
-            )
-        u = -cho_solve((factor, True), scatter[rest, j])
-        omega[rest, j] = u
-        omega[j, rest] = u
-        omega[j, j] = n / s22 + float(u @ q @ u)
-
-
 # Conjugate-gradient iterations per Newton step; the line search's Armijo
 # constant, its cap on step halvings, and the first-order gain (relative to
 # |f|) below which the Armijo comparison would be decided by the rounding of
@@ -917,21 +875,22 @@ def cm_update_precision(
     scatter: np.ndarray,
     n: int,
     level: int,
-    columns=None,
 ) -> np.ndarray:
-    """Conditional-maximisation update of one level's precision matrix.
+    """Conditional-maximisation step on one level's precision matrix.
 
-    Performs one pass over the requested columns (all by default), stores the
-    result in the state and returns it.  ``scatter`` is the unnormalised
-    cross-product of the level's centered data and ``n`` its sample count.
-    ``fit`` raises the precision matrices by ``_newton_step`` instead; this
-    column-wise form, whose column updates have closed forms, is the
-    reference that the acceptance oracles check.
+    Takes the one ``_newton_step`` that ``fit`` takes in each coordinate
+    pass, at the expected prior precisions of the state's inclusion
+    probabilities, stores the new matrix in the state and returns it.
+    ``scatter`` is the unnormalised cross-product of the level's centered
+    data and ``n`` its sample count.  The step raises the level's precision
+    objective without maximising it, which is all a conditional step of a
+    generalised EM needs (ECM, Meng & Rubin, Biometrika 1993); repeated
+    steps under fixed inclusion probabilities reach the maximiser, as
+    ``refit_precision`` does.
     """
     level = int(level)
-    omega = state.omega[level].copy()
     d = _expected_prior_precision(state.ppi[level], hyper.nu0_for(level), hyper.nu1)
-    _cm_sweep(omega, scatter, n, d, hyper.lambda_diag, columns)
+    omega, _ = _newton_step(state.omega[level], scatter, n, d, hyper.lambda_diag)
     state.omega[level] = omega
     return omega
 
@@ -1116,6 +1075,17 @@ def compute_elbo(
     return value
 
 
+def _level_key(key) -> int:
+    """A level key as an int: an integer, or a string that parses as one."""
+    try:
+        level = int(key)
+    except (TypeError, ValueError):
+        level = None
+    if level is None or (not isinstance(key, str) and level != key):
+        raise DataError(f"start has a level key {key!r} that is not an integer")
+    return level
+
+
 _BURN_IN_PASSES = 5
 _ANNEAL_STEPS = 6
 _ANNEAL_SPAN = 4.0
@@ -1143,9 +1113,10 @@ def fit(
     ``start`` maps every level to its ``ridge_start(scatter, n, nu1,
     lambda_diag)`` precision matrix, computed by the caller, so that fits
     differing only in the spike can share it; the arrays are copied, never
-    written.  A start that is not p x p, or not positive definite, raises
-    ``DataError`` naming the level.  Without it each level's ridge start is
-    computed here.  Raises a numerical error naming the first non-finite
+    written.  A level key may be an int or a string that parses as one (as a
+    JSON document gives it); any other key, a start that is not p x p, or
+    one that is not positive definite raises ``DataError``.  Without it
+    each level's ridge start is computed here.  Raises a numerical error naming the first non-finite
     ELBO term if the objective degenerates.
 
     Initialisation runs in three deterministic stages before the first
@@ -1209,12 +1180,14 @@ def fit(
         start = {
             a: ridge_start(scatters[a], ns[a], hyper.nu1, hyper.lambda_diag) for a in levels
         }
-    elif sorted(int(a) for a in start) != sorted(levels):
-        raise DataError(
-            f"start has levels {sorted(start)}, the data has levels {sorted(levels)}"
-        )
     else:
-        given, start = start, {}
+        given = {_level_key(a): omega for a, omega in start.items()}
+        if len(given) != len(start) or sorted(given) != sorted(levels):
+            raise DataError(
+                f"start has levels {sorted(_level_key(a) for a in start)}, "
+                f"the data has levels {sorted(levels)}"
+            )
+        start = {}
         for a in levels:
             try:
                 start[a] = omega = np.array(given[a], dtype=float)

@@ -17,7 +17,6 @@ from ordnet import (
     Hyperparameters,
     SimulationConfig,
     beta_sign_structure,
-    cm_update_precision,
     ebic,
     edge_count_prior,
     fit,
@@ -27,6 +26,7 @@ from ordnet import (
     is_positive_definite,
     ols_beta_proxy,
     precision_recall,
+    refit_precision,
     roc_auc,
     sample_covariance,
     simulate_experiment,
@@ -36,6 +36,7 @@ from ordnet import (
     update_zeta,
 )
 from ordnet.cli import main as cli_main
+from reference import sweep_state_columns
 
 pytestmark = pytest.mark.acceptance
 
@@ -386,9 +387,44 @@ def test_single_update_formula_oracles(rng):
                             options={"gtol": 1e-12, "maxiter": 500})
     u_star = sol.x[:-1]
     v_star = math.exp(sol.x[-1]) + u_star @ q @ u_star
-    omega = cm_update_precision(cm_state, cm_hyper, scatter, n, 0, columns=[j])
+    # The reference sweep's column update, which the fixed-point tests use.
+    omega = sweep_state_columns(cm_state, cm_hyper, scatter, n, 0, columns=[j])
     check("cm column off-diagonal", np.max(np.abs(omega[idx, j] - u_star)), 1e-6)
     check("cm column diagonal", abs(omega[j, j] - v_star), 1e-6)
+
+    # The Newton steps that fit takes, iterated by refit_precision at fixed
+    # prior precisions, against a BFGS maximiser of the whole objective
+    # f(omega) = (n/2) log det omega - tr((S + lambda I) omega) / 2
+    # - sum_{i<j} d_ij omega_ij^2 / 2 over a Cholesky factor omega = L L'
+    # with a log-parameterised diagonal.
+    ppi = cm_state.ppi[0]
+    d_full = ppi / cm_hyper.nu1**2 + (1.0 - ppi) / cm_hyper.nu0_for(0) ** 2
+    off = d_full * (1.0 - np.eye(p))
+    penalised = scatter + cm_hyper.lambda_diag * np.eye(p)
+    rows, cols = np.tril_indices(p)
+    on_diagonal = rows == cols
+
+    def cholesky_factor(theta):
+        chol = np.zeros((p, p))
+        chol[rows, cols] = np.where(on_diagonal, np.exp(theta), theta)
+        return chol
+
+    def negative_f_and_gradient(theta):
+        chol = cholesky_factor(theta)
+        om = chol @ chol.T
+        value = n * np.sum(np.log(np.diag(chol))) - 0.5 * np.sum(penalised * om) \
+            - 0.25 * np.sum(off * om * om)
+        # df = <G L, dL> with G = n inv(omega) - (S + lambda I) - D o omega.
+        grad = ((n * np.linalg.inv(om) - penalised - off * om) @ chol)[rows, cols]
+        grad = np.where(on_diagonal, grad * np.exp(theta), grad)
+        return -value, -grad
+
+    theta0 = np.where(on_diagonal, 0.5 * np.log(n / np.diag(penalised))[rows], 0.0)
+    sol = optimize.minimize(negative_f_and_gradient, theta0, jac=True, method="BFGS",
+                            options={"gtol": 1e-10, "maxiter": 2000})
+    chol_star = cholesky_factor(sol.x)
+    refit = refit_precision(np.eye(p), scatter, n, d_full, cm_hyper.lambda_diag)
+    check("refit_precision maximiser", np.max(np.abs(refit - chol_star @ chol_star.T)), 1e-6)
 
     y50 = rng.standard_normal((50, 10))
     penalty = ebic(np.eye(10), y50, gamma=0.5, n_edges=7) - ebic(

@@ -35,7 +35,8 @@ from ordnet import (
     update_sigma,
     update_zeta,
 )
-from ordnet.engine import _LOG_2PI, _SQRT_2_OVER_PI, _cm_sweep, refit_precision
+from ordnet.engine import _LOG_2PI, _SQRT_2_OVER_PI, refit_precision
+from reference import cm_sweep, sweep_fixed_point, sweep_state_columns
 
 
 def grouped(rng, levels, n, p):
@@ -540,14 +541,79 @@ class TestUpdateSigma:
 
 
 class TestCmUpdatePrecision:
+    """``cm_update_precision`` is the Newton step that ``fit`` takes; the
+    column tests check the reference sweep (``reference.py``) that the
+    fixed-point tests rely on."""
+
+    @staticmethod
+    def random_state(rng, levels, n, p, nu0=0.05):
+        data = grouped(rng, levels, n, p)
+        hyper = default_hyper(levels, nu0=nu0, lambda_diag=1.3)
+        state = init_state(data, hyper)
+        for a in levels:
+            ppi = rng.uniform(0.0, 1.0, size=(p, p))
+            state.ppi[a] = 0.5 * (ppi + ppi.T)
+            base = rng.standard_normal((p, p))
+            state.omega[a] = base @ base.T / p + np.eye(p)
+        scatters = {a: sample_covariance(y) for a, y in zip(levels, data.data)}
+        return state, hyper, scatters
+
+    @staticmethod
+    def step_until_still(state, hyper, scatter, n, level, calls=100):
+        """Call ``cm_update_precision`` until a call leaves the matrix as
+        it was, or ``calls`` times; return the last matrix."""
+        for _ in range(calls):
+            before = state.omega[level]
+            omega = cm_update_precision(state, hyper, scatter, n, level)
+            if np.array_equal(omega, before):
+                break
+        return omega
+
+    def test_is_the_newton_step_that_fit_takes(self, rng):
+        levels, n, p = (1, 2), 30, 8
+        state, hyper, scatters = self.random_state(rng, levels, n, p)
+        other = state.omega[2]
+        other_before = other.copy()
+        d = engine._expected_prior_precision(state.ppi[1], hyper.nu0_for(1), hyper.nu1)
+        expected, _ = engine._newton_step(state.omega[1], scatters[1], n, d, hyper.lambda_diag)
+        omega = cm_update_precision(state, hyper, scatters[1], n, 1)
+        assert np.array_equal(omega, expected)
+        assert state.omega[1] is omega
+        assert state.omega[2] is other and np.array_equal(other, other_before)
+
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    @pytest.mark.parametrize("nu0", [0.01, 0.1])
+    def test_never_lowers_the_objective(self, rng, p, nu0):
+        n = 2 * p
+        state, hyper, scatters = self.random_state(rng, (0,), n, p, nu0)
+        d = engine._expected_prior_precision(state.ppi[0], nu0, hyper.nu1)
+        value = precision_objective(state.omega[0], scatters[0], n, d, hyper.lambda_diag)
+        for _ in range(5):
+            omega = cm_update_precision(state, hyper, scatters[0], n, 0)
+            assert is_positive_definite(omega) and np.array_equal(omega, omega.T)
+            after = precision_objective(omega, scatters[0], n, d, hyper.lambda_diag)
+            assert after >= value - 1e-12 * abs(value)
+            value = after
+
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    def test_repeated_calls_reach_the_refit_fixed_point(self, rng, p):
+        n = 2 * p
+        state, hyper, scatters = self.random_state(rng, (0,), n, p)
+        d = engine._expected_prior_precision(state.ppi[0], hyper.nu0_for(0), hyper.nu1)
+        refit = refit_precision(state.omega[0], scatters[0], n, d, hyper.lambda_diag)
+        omega = self.step_until_still(state, hyper, scatters[0], n, 0)
+        assert np.max(np.abs(omega - refit)) <= 1e-8 * np.max(np.abs(refit))
+
     def test_spike_dominated_shrinkage(self, rng):
+        # Repeated steps under an all-spike prior reach the diagonal optimum
+        # n / (s_jj + lambda) with the off-diagonal entry shrunk to zero.
         n = 50
         data = GroupedDataset(levels=(0,), data=(rng.standard_normal((n, 2)),)).prepare()
         hyper = default_hyper((0,), nu0=1e-4)
         state = init_state(data, hyper)
         state.ppi[0][:] = 0.0
         scatter = np.diag([float(n), float(n)])
-        omega = cm_update_precision(state, hyper, scatter, n, 0)
+        omega = self.step_until_still(state, hyper, scatter, n, 0)
         assert abs(omega[0, 1]) < 1e-6
         assert omega[1, 1] == pytest.approx(n / (n + 1.0), abs=1e-6)
 
@@ -561,7 +627,7 @@ class TestCmUpdatePrecision:
         state.ppi[0] = 0.5 * (state.ppi[0] + state.ppi[0].T)
         scatter = sample_covariance(data.group(0))
         for j in range(p):
-            omega = cm_update_precision(state, hyper, scatter, n, 0, columns=[j])
+            omega = sweep_state_columns(state, hyper, scatter, n, 0, columns=[j])
             assert is_positive_definite(omega)
             assert np.array_equal(omega, omega.T)
 
@@ -604,7 +670,7 @@ class TestCmUpdatePrecision:
         u_star = result.x[:-1]
         v_star = math.exp(result.x[-1]) + u_star @ q @ u_star
 
-        omega = cm_update_precision(state, hyper, scatter, n, 0, columns=[j])
+        omega = sweep_state_columns(state, hyper, scatter, n, 0, columns=[j])
         assert np.max(np.abs(omega[idx, j] - u_star)) < 1e-6
         assert abs(omega[j, j] - v_star) < 1e-6
         assert np.max(np.abs(omega[np.ix_(idx, idx)] - before[np.ix_(idx, idx)])) == 0.0
@@ -631,7 +697,7 @@ class TestCmUpdatePrecision:
         )
         u = -np.linalg.solve(s22 * q + d, scatter[idx, j])
         v = n / s22 + u @ q @ u
-        omega = cm_update_precision(state, hyper, scatter, n, 0, columns=[j])
+        omega = sweep_state_columns(state, hyper, scatter, n, 0, columns=[j])
         assert np.max(np.abs(omega[idx, j] - u)) < 1e-10
         assert omega[j, j] == pytest.approx(v, abs=1e-10)
 
@@ -676,17 +742,6 @@ def precision_objective(omega, scatter, n, d, lambda_diag):
         - 0.5 * float(np.sum((scatter + lambda_diag * np.eye(len(omega))) * omega))
         - 0.25 * float(np.sum(off * omega * omega))
     )
-
-
-def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
-    """Sweep from omega until a sweep no longer moves it: the CM fixed point."""
-    omega = omega.copy()
-    for _ in range(5000):
-        before = omega.copy()
-        _cm_sweep(omega, scatter, n, d, lambda_diag)
-        if np.max(np.abs(omega - before)) <= 1e-15 * np.max(np.abs(omega)):
-            break
-    return omega
 
 
 def newton_step_reference(omega, scatter, n, d, lambda_diag, iterations=10):
@@ -1020,7 +1075,7 @@ class TestCmSweepKernel:
         ref_omega, ref_w = omega.copy(), w.copy()
         for sweep in range(3):
             gathered_sweep(ref_omega, ref_w, scatter, n, d, 1.3, columns)
-            _cm_sweep(got, scatter, n, d, 1.3, columns)
+            cm_sweep(got, scatter, n, d, 1.3, columns)
             if sweep == 0:
                 # The caller's own array carries the update, not a copy.
                 assert not np.array_equal(got, omega)
@@ -1036,7 +1091,7 @@ class TestCmSweepKernel:
         with pytest.raises(NumericalError, match="indefinite Newton system"):
             refit_precision(np.eye(p), scatter, n, d, 1.0)
         with pytest.raises(NumericalError, match="singular column system"):
-            _cm_sweep(np.eye(p), scatter, n, d, 1.0)
+            cm_sweep(np.eye(p), scatter, n, d, 1.0)
 
 
 class TestRidgeStart:
@@ -1065,7 +1120,7 @@ class TestRidgeStart:
         ref_omega = omega.copy()
         for _ in range(200):
             before = ref_omega.copy()
-            _cm_sweep(ref_omega, scatter, n, np.full((p, p), slab), lambda_diag)
+            cm_sweep(ref_omega, scatter, n, np.full((p, p), slab), lambda_diag)
             if np.max(np.abs(ref_omega - before)) <= 1e-15 * np.max(np.abs(ref_omega)):
                 break
         assert np.max(np.abs(omega - ref_omega)) <= 1e-10 * np.max(np.abs(ref_omega))
@@ -1501,6 +1556,24 @@ class TestFit:
         with pytest.raises(DataError, match="start has levels"):
             fit(data, default_hyper((1, 2)), start=start)
 
+    def test_start_keyed_by_level_strings(self, rng):
+        # A start read from a JSON document has string keys.
+        levels = (1, 2)
+        data = grouped(rng, levels, 20, 4)
+        hyper = default_hyper(levels)
+        controls = FitControls(max_iter=5, min_iter=5)
+        start = {
+            a: ridge_start(sample_covariance(y), 20, 1.0, 1.0) for a, y in zip(levels, data.data)
+        }
+        by_int = fit(data, hyper, controls, start=start)
+        by_str = fit(data, hyper, controls, start={str(a): omega for a, omega in start.items()})
+        assert by_str.elbo_trace == by_int.elbo_trace
+        for bad in ("one", 1.5, None):
+            with pytest.raises(DataError, match="not an integer"):
+                fit(data, hyper, controls, start={1: start[1], bad: start[2]})
+        with pytest.raises(DataError, match="start has levels"):
+            fit(data, hyper, controls, start={**start, "1": start[1]})
+
     def test_start_of_the_wrong_shape_is_refused(self, rng):
         data = grouped(rng, (1, 2), 20, 5)
         start = {
@@ -1524,10 +1597,9 @@ class TestFit:
             fit(data, default_hyper((1, 2)), start=start)
 
     def test_stage_schedule_counts(self, rng, monkeypatch):
-        # One Newton step per level in every pass after the burn-in; a fit
-        # never sweeps.
+        # One Newton step per level in every pass after the burn-in.
         levels, iterations = (1, 2, 3), 4
-        calls = {"zeta": 0, "latents": 0, "steps": 0, "sweeps": 0}
+        calls = {"zeta": 0, "latents": 0, "steps": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -1540,7 +1612,6 @@ class TestFit:
             engine, "update_edge_latents", counting("latents", engine.update_edge_latents)
         )
         monkeypatch.setattr(engine, "_newton_step", counting("steps", engine._newton_step))
-        monkeypatch.setattr(engine, "_cm_sweep", counting("sweeps", engine._cm_sweep))
         data = grouped(rng, levels, 30, 5)
         report = fit(
             data, default_hyper(levels), FitControls(max_iter=iterations, min_iter=iterations)
@@ -1550,7 +1621,6 @@ class TestFit:
         assert calls["zeta"] == passes
         assert calls["latents"] == len(levels) * passes
         assert calls["steps"] == len(levels) * (engine._ANNEAL_STEPS + iterations)
-        assert calls["sweeps"] == 0
 
 
 class TestSharedFactorAndTails:
