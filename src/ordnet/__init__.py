@@ -12,32 +12,16 @@ names that need SciPy (the fit, the baseline, the spike search and the
 simulator) and their submodules ``ordnet.engine``, ``.baseline``,
 ``.selection`` and ``.simulate`` are imported on first access (PEP 562), so
 code that only reads and scores fits never loads SciPy.
+
+Each public name is declared once: the eager ones in the ``__all__`` of
+``core`` and ``metrics``, the SciPy-backed ones in ``_LAZY`` below.
 """
 
 import importlib
 
-from .core import (
-    DataError,
-    GroupedDataset,
-    NumericalError,
-    canonical_edge,
-    center_columns,
-    edge_indicator,
-    edge_set,
-    edge_set_from_matrix,
-    is_positive_definite,
-    partial_correlations,
-    sample_covariance,
-)
-from .metrics import (
-    MetricsReport,
-    beta_sign_structure,
-    evaluate_fit,
-    precision_recall,
-    rank_nodes_by_beta,
-    roc_auc,
-    top_k_edge_subnetworks,
-)
+from . import core, metrics
+from .core import *
+from .metrics import *
 
 # The SciPy-backed names, by defining submodule; ``__getattr__`` imports each
 # submodule on first use.
@@ -53,6 +37,7 @@ _LAZY = {
         "edge_count_prior",
         "fit",
         "init_state",
+        "intercept_prior",
         "refit_precision",
         "ridge_start",
         "truncated_normal_moments",
@@ -82,58 +67,7 @@ _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DataError",
-    "NumericalError",
-    "GroupedDataset",
-    "canonical_edge",
-    "edge_set",
-    "edge_set_from_matrix",
-    "edge_indicator",
-    "center_columns",
-    "sample_covariance",
-    "partial_correlations",
-    "is_positive_definite",
-    "SimulationConfig",
-    "SimulationTruth",
-    "generate_scale_free_graph",
-    "assign_edge_trajectories",
-    "build_precision_sequence",
-    "sample_mvn",
-    "simulate_experiment",
-    "Hyperparameters",
-    "FitControls",
-    "FitReport",
-    "VariationalState",
-    "edge_count_prior",
-    "init_state",
-    "truncated_normal_moments",
-    "update_edge_latents",
-    "update_zeta",
-    "update_beta",
-    "update_sigma",
-    "cm_update_precision",
-    "refit_precision",
-    "ridge_start",
-    "compute_elbo",
-    "fit",
-    "SslFit",
-    "fit_ssl",
-    "ols_beta_proxy",
-    "Nu0SearchConfig",
-    "Nu0SearchResult",
-    "gaussian_log_likelihood",
-    "ebic",
-    "line_search_nu0",
-    "MetricsReport",
-    "roc_auc",
-    "precision_recall",
-    "beta_sign_structure",
-    "rank_nodes_by_beta",
-    "top_k_edge_subnetworks",
-    "evaluate_fit",
-    "__version__",
-]
+__all__ = [*core.__all__, *metrics.__all__, *_SOURCE, "__version__"]
 
 
 def __getattr__(name: str):

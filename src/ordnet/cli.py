@@ -15,7 +15,8 @@ Importing this module loads NumPy, ``ordnet.core`` and ``ordnet.metrics``
 only, so ``--help``, ``evaluate`` and ``rank`` never load SciPy.  ``simulate``
 imports ``ordnet.simulate`` (and with it ``scipy.linalg``) when it starts;
 ``select-nu0`` and ``fit`` import ``ordnet.engine``, ``.baseline`` and
-``.selection``.
+``.selection``.  It takes these SciPy-backed names from the package, which
+declares each once, in its ``_LAZY`` table.
 """
 
 from __future__ import annotations
@@ -39,28 +40,28 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1.0"
 
-# The names that need SciPy, as (submodule, name).  ``__getattr__`` imports
-# each on first access and keeps it as a module attribute; a command fetches
-# them from the module with ``_late`` when it runs, so that a name set on
-# this module (a test's spy, the benchmark's tracer) is the one it calls.
+# The names that need SciPy, by the ``ordnet`` export each stands for (the
+# package's ``_LAZY`` declares them).  ``__getattr__`` resolves each on first
+# access and keeps it as a module attribute; a command fetches them with
+# ``_late`` when it runs, so that a name set on this module (a test's spy,
+# the benchmark's tracer) is the one it calls.
 _LATE = {
-    "engine_fit": ("engine", "fit"),
-    "fit_ssl": ("baseline", "fit_ssl"),
-    "line_search_nu0": ("selection", "line_search_nu0"),
-    "simulate_experiment": ("simulate", "simulate_experiment"),
-    "Hyperparameters": ("engine", "Hyperparameters"),
-    "FitControls": ("engine", "FitControls"),
-    "intercept_prior": ("engine", "intercept_prior"),
-    "Nu0SearchConfig": ("selection", "Nu0SearchConfig"),
-    "SimulationConfig": ("simulate", "SimulationConfig"),
+    "engine_fit": "fit",
+    "fit_ssl": "fit_ssl",
+    "line_search_nu0": "line_search_nu0",
+    "simulate_experiment": "simulate_experiment",
+    "Hyperparameters": "Hyperparameters",
+    "FitControls": "FitControls",
+    "intercept_prior": "intercept_prior",
+    "Nu0SearchConfig": "Nu0SearchConfig",
+    "SimulationConfig": "SimulationConfig",
 }
 
 
 def __getattr__(name: str):
     if name not in _LATE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _LATE[name]
-    value = getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+    value = getattr(importlib.import_module(__package__), _LATE[name])
     globals()[name] = value
     return value
 
@@ -102,8 +103,13 @@ def _parse_value(key: str, raw: str):
         if key == "nu0":
             if ":" in raw:
                 pairs = [part.split(":", 1) for part in raw.split(",")]
-                return {int(a): float(v) for a, v in pairs}
+                values = {int(a): float(v) for a, v in pairs}
+                if len(values) < len(pairs):
+                    raise ConfigError(f"duplicate level in '{key}': {raw!r}")
+                return values
             return float(raw)
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse value for '{key}': {raw!r}")
     return raw

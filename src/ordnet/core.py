@@ -11,6 +11,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+__all__ = [
+    "DataError", "NumericalError", "GroupedDataset", "canonical_edge", "edge_set",
+    "edge_set_from_matrix", "edge_indicator", "center_columns", "sample_covariance",
+    "partial_correlations", "is_positive_definite",
+]
+
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 

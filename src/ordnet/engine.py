@@ -69,7 +69,8 @@ def edge_count_prior(
     M = p(p-1)/2 edges, the edge count K is Binomial(M, Phi(zeta)) mixed over
     zeta.  n0 is chosen so Phi(n0) equals expected_edges/M, and t0_sq is found
     by bisection so that sd(K) matches sd_edges; the result is floored at
-    0.25.  Defaults: expected_edges = p, sd_edges = p/2.
+    0.25.  sd(K) stays below M/2, and an sd_edges that no t0_sq up to 4**10
+    reaches is a DataError.  Defaults: expected_edges = p, sd_edges = p/2.
     """
     if p < 2:
         raise DataError("need at least 2 variables")
@@ -94,8 +95,11 @@ def edge_count_prior(
     lo, hi = 1e-12, 1.0
     if edge_count_sd(lo) >= s0:
         return n0, 0.25
-    while edge_count_sd(hi) < s0 and hi < 1e6:
+    while (reached := edge_count_sd(hi)) < s0 and hi < 1e6:
         hi *= 4.0
+    if reached < s0:
+        raise DataError(f"sd_edges must stay below {reached:.4g} for p = {p} and "
+                        f"expected_edges = {e0:g}, got {s0:g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if edge_count_sd(mid) < s0:

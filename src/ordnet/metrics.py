@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MetricsReport", "roc_auc", "precision_recall", "beta_sign_structure",
+    "rank_nodes_by_beta", "top_k_edge_subnetworks", "evaluate_fit",
+]
+
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 

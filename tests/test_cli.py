@@ -89,6 +89,9 @@ class TestParseConfig:
         path = write_config(tmp_path / "run.conf", "p = 5", "p = 6")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(path)
+        path = write_config(tmp_path / "nu0.conf", "nu0 = 1:0.03,2:0.04,1:0.05")
+        with pytest.raises(ConfigError, match="duplicate level in 'nu0'"):
+            parse_config(path)
 
     def test_rejects_bad_value(self, tmp_path):
         path = write_config(tmp_path / "run.conf", "p = twenty")
@@ -621,7 +624,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["fit", "select-nu0"])
     @pytest.mark.parametrize(
-        "line", ["expected_edges = 2000", "sd_edges = -1", "sd_edges = nan"]
+        "line", ["expected_edges = 2000", "sd_edges = -1", "sd_edges = nan", "sd_edges = 1000"]
     )
     def test_out_of_range_edge_count_prior_is_config_error(
         self, sim_dir, tmp_path, capsys, command, line

@@ -92,6 +92,9 @@ class TestEdgeCountPrior:
                 edge_count_prior(10, sd_edges=sd)
         with pytest.raises(DataError):
             edge_count_prior(1)
+        # sd(K) cannot exceed M/2 = 22.5 here, whatever the intercept variance.
+        with pytest.raises(DataError, match="sd_edges must stay below 22.5 "):
+            edge_count_prior(10, 10, 50)
 
 
 class TestHyperparameters:

@@ -122,6 +122,19 @@ def test_every_exported_name_is_its_defining_modules_object():
         assert getattr(defining, name) is value, name
 
 
+def test_each_exported_name_is_declared_once():
+    assert len(ordnet.__all__) == len(set(ordnet.__all__))
+    declared = {*ordnet.core.__all__, *ordnet.metrics.__all__, *ordnet._SOURCE, "__version__"}
+    assert set(ordnet.__all__) == declared
+
+
+@pytest.mark.parametrize("name", sorted(cli._LATE))
+def test_cli_late_names_are_package_exports(name):
+    target = cli._LATE[name]
+    assert target in ordnet.__all__
+    assert getattr(cli, name) is getattr(ordnet, target)
+
+
 def test_dir_lists_every_exported_name():
     listing = dir(ordnet)
     assert set(ordnet.__all__) <= set(listing)
