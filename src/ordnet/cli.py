@@ -170,7 +170,7 @@ def _resolve_nu0(
     if report_path is not None:
         if "nu0" in cfg:
             raise ConfigError("set 'nu0' in the configuration or pass --nu0-report, not both")
-        doc = read_json(report_path, expected_kind="nu0_selection")
+        doc = read_json(report_path, expected_kind="nu0_selection", fields=("selected",))
         selected = _field(
             doc, report_path, "selected", lambda v: {int(a): float(x) for a, x in v.items()}
         )
@@ -369,14 +369,110 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path: str, expected_kind: str) -> dict:
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+_STRUCTURE = '[]{}"'
+
+
+def _skip_container(text: str, start: int) -> int:
+    """The end of the array or object that opens at ``text[start]``.
+
+    Only its structure is checked: each next ``[ ] { } "`` is found with
+    ``str.find``, brackets must nest, and strings are skipped with
+    ``scanstring``.  Numbers, literals, commas and colons are never read.
+    """
+    size = len(text)
+
+    def find(char: str, pos: int) -> int:
+        at = text.find(char, pos)
+        return size if at < 0 else at
+
+    ahead = [find(char, start) for char in _STRUCTURE]
+    closers = []
+    while True:
+        at = min(ahead)
+        if at == size:
+            raise json.JSONDecodeError("Unterminated array or object starting at", text, start)
+        char = text[at]
+        end = at + 1
+        if char == '"':
+            end = json.decoder.scanstring(text, end)[1]
+        elif char in "[{":
+            closers.append("]" if char == "[" else "}")
+        elif closers.pop() != char:
+            raise json.JSONDecodeError("Mismatched closing bracket", text, at)
+        elif not closers:
+            return end
+        for k, next_at in enumerate(ahead):
+            if next_at < end:
+                ahead[k] = find(_STRUCTURE[k], end)
+
+
+def _decode_top_level(text: str, wanted: set[str] | None):
+    """The JSON value of ``text``, an object decoded only in its ``wanted`` keys.
+
+    Each member of a top-level object whose key is in ``wanted`` (every key
+    when it is None) is decoded as ``json.loads`` decodes it, the last of
+    duplicate keys winning.  Any other array or object is skipped by
+    ``_skip_container``; any other scalar is decoded and dropped.  A value
+    that is not an object is decoded whole.  Raises ``json.JSONDecodeError``.
+    """
+    pos = _SPACE(text, 0).end()
+    if not text.startswith("{", pos):
+        doc, end = _DECODER.raw_decode(text, pos)
+    else:
+        doc = {}
+        pos = _SPACE(text, pos + 1).end()
+        end = pos + 1 if text.startswith("}", pos) else None
+        while end is None:
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, pos
+                )
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _SPACE(text, pos).end()
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            pos = _SPACE(text, pos + 1).end()
+            if wanted is None or key in wanted:
+                value, pos = _DECODER.raw_decode(text, pos)
+                doc[key] = value
+            elif text.startswith(("[", "{"), pos):
+                pos = _skip_container(text, pos)
+            else:
+                pos = _DECODER.raw_decode(text, pos)[1]
+            pos = _SPACE(text, pos).end()
+            if text.startswith("}", pos):
+                end = pos + 1
+            elif text.startswith(",", pos):
+                pos = _SPACE(text, pos + 1).end()
+            else:
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    if _SPACE(text, end).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
+def read_json(path: str, expected_kind: str, fields: Sequence[str] | None = None) -> dict:
+    """The JSON document in ``path``, checked to be an ``expected_kind`` document.
+
+    Only the top-level ``fields`` are decoded, with ``schema_version`` and
+    ``kind``; with ``fields`` None, every one is.  Other arrays and objects
+    are checked for their brackets and strings only, so a reader pays for
+    the fields it uses and not for the whole file.
+    """
     if not os.path.isfile(path):
         raise DataError(f"file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})")
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})")
+    wanted = None if fields is None else {"schema_version", "kind", *fields}
+    try:
+        doc = _decode_top_level(text, wanted)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
@@ -621,8 +717,8 @@ def cmd_evaluate(
     threshold: float,
     append: bool,
 ) -> int:
-    fit_doc = read_json(fit_path, expected_kind="fit")
-    truth_doc = read_json(truth_path, expected_kind="truth")
+    fit_doc = read_json(fit_path, expected_kind="fit", fields=("levels", "p", "ppi", "method"))
+    truth_doc = read_json(truth_path, expected_kind="truth", fields=("levels", "p", "adjacency"))
     _check_output_dir(out_csv)
     mode, preamble = _metrics_start(out_csv, append)
     fit_levels = _field(fit_doc, fit_path, "levels", lambda v: [int(a) for a in v])
@@ -649,7 +745,17 @@ def cmd_evaluate(
         truth_doc, truth_path, "adjacency",
         lambda v: {int(a): [(int(i), int(j)) for i, j in pairs] for a, pairs in v.items()},
     )
-    report = evaluate_fit(ppi, adjacency, threshold)
+    if sorted(adjacency) != sorted(truth_levels):
+        raise DataError(
+            f"{truth_path}: 'adjacency' has levels {sorted(adjacency)}, "
+            f"the document has {sorted(truth_levels)}"
+        )
+    # The ppi matrices are finite and p x p and the threshold lies in [0, 1],
+    # so what evaluate_fit can still refuse is the truth's edges.
+    try:
+        report = evaluate_fit(ppi, adjacency, threshold)
+    except DataError as exc:
+        raise DataError(f"{truth_path}: {exc}")
     method = _field(fit_doc, fit_path, "method", str)
     with open(out_csv, mode, encoding="utf-8", newline="") as fh:
         fh.write(preamble)
@@ -670,7 +776,7 @@ def cmd_evaluate(
 
 
 def cmd_rank(fit_path: str, k: int, out_prefix: str) -> int:
-    fit_doc = read_json(fit_path, expected_kind="fit")
+    fit_doc = read_json(fit_path, expected_kind="fit", fields=("beta_mean", "p", "variable_names"))
     _check_output_dir(out_prefix + "_nodes.csv")
     if "beta_mean" not in fit_doc:
         raise DataError(

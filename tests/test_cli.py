@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordnet import (
     DataError,
@@ -186,6 +188,106 @@ class TestFileFormats:
         write_json(path, {"schema_version": "2.0", "kind": "truth"})
         with pytest.raises(Exception, match="schema major version"):
             read_json(path, expected_kind="truth")
+
+
+# Strings that a bracket-matching reader could mistake for structure.
+_JSON_TEXT = st.one_of(
+    st.text(st.sampled_from('[]{}",:\\/ \n\t\x00\x1faé€😀'), max_size=6), st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _documents_and_fields(draw):
+    doc = draw(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=6))
+    doc.update(schema_version="1.0", kind="fit")
+    keys = sorted(doc) + ["absent"]
+    return doc, draw(st.none() | st.lists(st.sampled_from(keys), unique=True))
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "doc.json"
+
+
+class TestReadJson:
+    """``read_json`` with ``fields`` decodes exactly what ``json.loads`` would."""
+
+    @given(_documents_and_fields(), st.sampled_from([None, 2]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_fields_equal_json_loads(self, json_path, doc_fields, indent, ascii_only):
+        doc, fields = doc_fields
+        separators = (",", ":") if indent is None else None
+        text = json.dumps(doc, indent=indent, separators=separators, ensure_ascii=ascii_only)
+        json_path.write_text(text, encoding="utf-8")
+        loaded = json.loads(text)
+        wanted = loaded.keys() if fields is None else {"schema_version", "kind", *fields}
+        expected = {key: value for key, value in loaded.items() if key in wanted}
+        assert read_json(str(json_path), "fit", fields) == expected
+
+    @pytest.mark.parametrize("fields", [None, ("a",), ("b",)])
+    def test_duplicate_keys_keep_the_last_value(self, tmp_path, fields):
+        text = (
+            '{"schema_version":"1.0","kind":"fit","a":[1,"]"],"b":{"x":"}"},'
+            '"a":{"z":[2]},"b":3}'
+        )
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = json.loads(text)
+        wanted = loaded.keys() if fields is None else {"schema_version", "kind", *fields}
+        doc = read_json(str(path), "fit", fields)
+        assert doc == {key: value for key, value in loaded.items() if key in wanted}
+        assert loaded["a"] == {"z": [2]} and loaded["b"] == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(" {\n} ", "missing schema_version field"),
+         ('[{"schema_version": "1.0", "kind": "fit"}]', "expected a JSON object, got list"),
+         ('"fit"', "expected a JSON object, got str")],
+        ids=["empty-object", "array", "string"],
+    )
+    def test_documents_that_are_not_fit_objects(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        for fields in (None, ("x",)):
+            with pytest.raises(DataError, match=message):
+                read_json(str(path), "fit", fields)
+
+    @pytest.mark.parametrize(
+        "tail",
+        ['"x":[1,[2,{"y":"]"}]', '"x":[1,2}', '"x":{"y":[1]]}', '"x" [1]', '"x":[1] "y":2',
+         '"x":[1],', '"x":"]', '"x":[1]}{}', '"x":[1]} x', '"x":[1]}]'],
+        ids=["unterminated", "mismatched", "mismatched-inner", "no-colon", "no-comma",
+             "trailing-comma", "unterminated-string", "second-object", "trailing-text",
+             "trailing-bracket"],
+    )
+    def test_broken_structure_is_invalid_json(self, tmp_path, tail):
+        path = tmp_path / "doc.json"
+        path.write_text('{"schema_version":"1.0","kind":"fit",' + tail, encoding="utf-8")
+        for fields in (None, ("x",), ("y",)):
+            with pytest.raises(DataError, match=r"doc\.json: invalid JSON"):
+                read_json(str(path), "fit", fields)
+
+    def test_document_cut_anywhere_is_invalid_json(self, joint_fit_doc, tmp_path):
+        data = joint_fit_doc.read_bytes()
+        path = tmp_path / "fit.json"
+        cuts = range(997, len(data.rstrip()), 997)
+        assert len(cuts) > 10
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            for fields in (None, ("levels", "p", "ppi", "method"), ("beta_mean", "p")):
+                with pytest.raises(DataError, match="invalid JSON"):
+                    read_json(str(path), "fit", fields)
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"schema_version":"1.0","kind":"fit","x":"\xff"}')
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            read_json(str(path), "fit", ("x",))
 
 
 def json_dumped(doc) -> bytes:
@@ -608,6 +710,75 @@ class TestRankCommand:
         assert code == 3
         assert "ols_beta_proxy" in capsys.readouterr().err
 
+    def test_names_with_json_structure_survive(self, sim_dir, joint_fit_doc, tmp_path):
+        doc = json.loads(joint_fit_doc.read_text(encoding="utf-8"))
+        name = 'a"]}[{\\b'
+        doc["variable_names"][0] = name
+        fit_path = tmp_path / "fit.json"
+        write_json(str(fit_path), doc)
+        assert main(["rank", "--fit", str(fit_path), "--out-prefix", str(tmp_path / "r")]) == 0
+        rows = (tmp_path / "r_nodes.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[2] for row in rows if row.split(",")[1] == "0"] == [name]
+        # evaluate skips variable_names, brackets and quotes in its strings included.
+        assert main([
+            "evaluate", "--fit", str(fit_path), "--truth", str(sim_dir / "truth.json"),
+            "--out", str(tmp_path / "metrics.csv"),
+        ]) == 0
+
+
+@pytest.fixture(scope="module")
+def ssl_fit_doc(sim_dir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("ssl")
+    config = write_config(root / "fit.conf", "nu0 = 0.05", "method = ssl")
+    fit_path = root / "fit_ssl.json"
+    assert main([
+        "fit", "--config", config,
+        "--manifest", str(sim_dir / "manifest.csv"), "--out", str(fit_path),
+    ]) == 0
+    return fit_path
+
+
+class TestFitDocumentLayout:
+    """``evaluate`` and ``rank`` read only the fields they use, from any layout."""
+
+    def _outputs(self, fit_path, truth_path, out_dir, capsys) -> dict[str, object]:
+        out_dir.mkdir()
+        codes = (
+            main(["evaluate", "--fit", str(fit_path), "--truth", str(truth_path),
+                  "--out", str(out_dir / "metrics.csv")]),
+            main(["rank", "--fit", str(fit_path), "--k", "5",
+                  "--out-prefix", str(out_dir / "rank")]),
+        )
+        outputs = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        return {"codes": codes, "stderr": capsys.readouterr().err, **outputs}
+
+    @pytest.mark.parametrize("method", ["joint", "ssl"])
+    def test_reindented_fit_gives_the_same_bytes(
+        self, sim_dir, joint_fit_doc, ssl_fit_doc, tmp_path, capsys, method
+    ):
+        compact = joint_fit_doc if method == "joint" else ssl_fit_doc
+        indented = tmp_path / "indented.json"
+        indented.write_text(
+            json.dumps(json.loads(compact.read_text(encoding="utf-8")), indent=4),
+            encoding="utf-8",
+        )
+        truth = sim_dir / "truth.json"
+        first = self._outputs(compact, truth, tmp_path / "compact", capsys)
+        second = self._outputs(indented, truth, tmp_path / "indented", capsys)
+        assert first["codes"] == ((0, 0) if method == "joint" else (0, 3))
+        assert "metrics.csv" in first
+        assert first == second
+
+    def test_fit_cut_inside_omega_is_three(self, sim_dir, joint_fit_doc, tmp_path, capsys):
+        text = joint_fit_doc.read_text(encoding="utf-8")
+        start = text.index('"omega":')
+        cut = tmp_path / "fit.json"
+        cut.write_text(text[:start + (text.index(',"p":') - start) // 2], encoding="utf-8")
+        outputs = self._outputs(cut, sim_dir / "truth.json", tmp_path / "out", capsys)
+        assert outputs["codes"] == (3, 3)
+        assert outputs["stderr"].count(f"{cut}: invalid JSON") == 2
+        assert set(outputs) == {"codes", "stderr"}
+
 
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
@@ -758,6 +929,33 @@ class TestExitCodes:
         assert str(fit_path) in err and message in err
         assert "Traceback" not in err
         assert [path.name for path in tmp_path.iterdir()] == ["fit.json"]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda doc: doc["adjacency"].pop("4"),
+          "'adjacency' has levels [1, 2, 3], the document has [1, 2, 3, 4]"),
+         (lambda doc: doc["adjacency"].update({"5": doc["adjacency"].pop("4")}),
+          "'adjacency' has levels [1, 2, 3, 5], the document has [1, 2, 3, 4]"),
+         (lambda doc: doc["adjacency"]["3"].append([4, 12]),
+          "truth has an edge outside the 12 nodes")],
+        ids=["adjacency-lacks-a-level", "adjacency-other-level", "edge-outside"],
+    )
+    def test_truth_disagreeing_with_itself_is_three(
+        self, sim_dir, joint_fit_doc, tmp_path, capsys, change, message
+    ):
+        doc = json.loads((sim_dir / "truth.json").read_text(encoding="utf-8"))
+        change(doc)
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "evaluate", "--fit", str(joint_fit_doc), "--truth", str(truth_path),
+            "--out", str(tmp_path / "metrics.csv"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{truth_path}: {message}" in err
+        assert "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["truth.json"]
 
     @pytest.mark.parametrize(
         "doc, message",
