@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,24 +115,39 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
+def _read_text(path: str, error: type[Exception] = DataError) -> str:
+    """The text of a UTF-8 file, every line ending read as ``\\n``.  A byte
+    that is not UTF-8 raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc})")
+
+
+def _read_lines(path: str, error: type[Exception] = DataError) -> Iterator[str]:
+    """The lines of ``_read_text(path, error)``, without their line endings;
+    an empty file has one empty line."""
+    return iter(_read_text(path, error).split("\n"))
+
+
 def parse_config(path: str) -> dict[str, object]:
     """Read a key=value configuration file, rejecting unknown keys."""
     if not os.path.isfile(path):
         raise ConfigError(f"configuration file not found: {path}")
     config: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
-            if key in config:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            config[key] = _parse_value(key, raw)
+    for lineno, line in enumerate(_read_lines(path, ConfigError), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _ALL_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown configuration key '{key}'")
+        if key in config:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        config[key] = _parse_value(key, raw)
     if config.get("threads", 1) < 1:
         raise ConfigError("threads must be at least 1")
     if config.get("replicates", 1) < 1:
@@ -209,39 +224,39 @@ def write_data_csv(path: str, data: np.ndarray, names: Sequence[str]) -> None:
 def read_data_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     if not os.path.isfile(path):
         raise DataError(f"data file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise DataError(f"{path}: missing header row")
-        names = tuple(part.strip() for part in header.split(","))
-        seen = set()
-        for column, name in enumerate(names, start=1):
-            if not name:
-                raise DataError(f"{path}: empty column name in column {column} of the header")
-            if name in seen:
-                raise DataError(f"{path}: duplicate column name '{name}' in the header")
-            seen.add(name)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(names)} columns, got {len(parts)}"
-                )
-            try:
-                values = [float(part) for part in parts]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value")
-            if not all(map(math.isfinite, values)):
-                col = next(k for k, value in enumerate(values) if not math.isfinite(value))
-                raise DataError(
-                    f"{path}:{lineno}: non-finite value {values[col]} "
-                    f"in column '{names[col]}'"
-                )
-            rows.append(values)
+    lines = _read_lines(path)
+    header = next(lines).strip()
+    if not header:
+        raise DataError(f"{path}: missing header row")
+    names = tuple(part.strip() for part in header.split(","))
+    seen = set()
+    for column, name in enumerate(names, start=1):
+        if not name:
+            raise DataError(f"{path}: empty column name in column {column} of the header")
+        if name in seen:
+            raise DataError(f"{path}: duplicate column name '{name}' in the header")
+        seen.add(name)
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise DataError(
+                f"{path}:{lineno}: expected {len(names)} columns, got {len(parts)}"
+            )
+        try:
+            values = [float(part) for part in parts]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric value")
+        if not all(map(math.isfinite, values)):
+            col = next(k for k, value in enumerate(values) if not math.isfinite(value))
+            raise DataError(
+                f"{path}:{lineno}: non-finite value {values[col]} "
+                f"in column '{names[col]}'"
+            )
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return names, np.array(rows)
@@ -257,22 +272,21 @@ def write_manifest(path: str, entries: Sequence[tuple[str, int, int]]) -> None:
 def read_manifest(path: str) -> list[tuple[str, int, int]]:
     if not os.path.isfile(path):
         raise DataError(f"manifest not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "file,level,n":
-            raise DataError(f"{path}: manifest header must be 'file,level,n'")
-        entries = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                entries.append((parts[0], int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: level and n must be integers")
+    lines = _read_lines(path)
+    if next(lines).strip() != "file,level,n":
+        raise DataError(f"{path}: manifest header must be 'file,level,n'")
+    entries = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 columns")
+        try:
+            entries.append((parts[0], int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: level and n must be integers")
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries
@@ -463,11 +477,7 @@ def read_json(path: str, expected_kind: str, fields: Sequence[str] | None = None
     """
     if not os.path.isfile(path):
         raise DataError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc})")
+    text = _read_text(path)
     wanted = None if fields is None else {"schema_version", "kind", *fields}
     try:
         doc = _decode_top_level(text, wanted)

@@ -11,7 +11,8 @@ Newton-CG step whose line search accepts only a positive-definite matrix
 that raises the objective (``_newton_step``, O(p^3)).  Coordinate updates
 therefore never decrease the evidence lower bound (ELBO).  The step's CG
 solves the Newton system in single precision on a copy normalised to unit
-scale; its line search and every factorisation stay in double precision.
+scale, its vector updates and inner products as level-1 BLAS calls; its
+line search and every factorisation stay in double precision.
 The line search scores each trial by the objective's change, from inner
 products formed once per step, so a trial costs one Cholesky factorisation.
 The factor is carried: the line search's Cholesky factor of each accepted
@@ -41,7 +42,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import special
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .core import DataError, GroupedDataset, NumericalError, sample_covariance
 
@@ -543,6 +544,12 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
 
 
 _POTRF, _POTRI = get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
+# Level-1 BLAS of the Newton step's single-precision CG.  ``_AXPY`` and
+# ``_SCAL`` write their vector argument in place only when it is a
+# contiguous float32 array; given anything else they return a new array and
+# the update is lost, so they are called on flat views of C-contiguous
+# float32 buffers only.
+_AXPY, _DOT, _SCAL = get_blas_funcs(("axpy", "dot", "scal"), dtype=np.float32)
 
 
 def _logdet(factor: np.ndarray) -> float:
@@ -561,7 +568,7 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
     inverse, info = _POTRI(factor, lower=1)
     if info != 0:
         raise NumericalError("singular Cholesky factor of a precision matrix")
-    inverse = np.ascontiguousarray(inverse.T)
+    inverse = inverse.T
     upper, lower = _triangle(inverse.shape[0])
     flat = inverse.reshape(-1)
     flat[lower] = flat[upper]
@@ -614,9 +621,19 @@ def _newton_step(
     = max |sqrt(n) W|`` and ``g = max |G|`` (1 if G = 0), so no scale of the
     data overflows float32, and the direction is mapped back as ``X =
     float64(X_32) g / s^2``; the step is thus equivariant under scaling the
-    data.  Everything else (the inverse, G, the preconditioner check, the
-    gain, the line search and every factorisation) stays in double
-    precision, so positive definiteness and ascent keep their guarantees.
+    data.  Each normalised input is formed in double precision and rounded
+    once, into its float32 buffer.  At the sizes fitted here a CG iteration
+    is bound by the cost of each call, not by its flops, so its vector work
+    runs as level-1 BLAS on flat views of the buffers: ``X += alpha P`` and
+    ``R -= alpha image`` are one ``axpy`` each, ``P <- Z + beta P`` is
+    ``scal`` then ``axpy``, and both inner products are ``dot``; the two
+    matrix products, ``D o P`` and ``Z = R o M^-1`` stay NumPy.  ``axpy``
+    rounds ``a x + y`` once where NumPy rounded the product and the sum
+    apart, so X and R differ from a NumPy loop's in float32 rounding, and
+    fits move at that level.  Everything else (the inverse, G, the
+    preconditioner check, the gain, the line search and every
+    factorisation) stays in double precision, so positive definiteness and
+    ascent keep their guarantees.
 
     The symmetrised step is halved from length 1 until ``omega + alpha X``
     has a Cholesky factor and raises ``f`` by at least 1e-4 of the
@@ -670,35 +687,38 @@ def _newton_step(
         raise NumericalError(_INDEFINITE)
     # The float32 system is divided through by s^2 and g, so that its
     # largest entries are 1 whatever the scale of the data.
-    scale = math.sqrt(n) * float(np.max(np.abs(w)))
-    grad_max = float(np.max(np.abs(grad))) or 1.0
-    root_w = np.multiply(w, math.sqrt(n) / scale, out=w).astype(np.float32)
-    off32 = (off / (scale * scale)).astype(np.float32)
-    inv_precond = np.divide(scale * scale, precond, out=precond).astype(np.float32)
-    resid = (grad / grad_max).astype(np.float32)
+    scale = math.sqrt(n) * max(float(w.max()), -float(w.min()))
+    grad_max = max(float(grad.max()), -float(grad.min())) or 1.0
+    root_w, off32, inv_precond, resid, x, z, direction, image, scratch = np.empty(
+        (9, p, p), dtype=np.float32
+    )
+    np.multiply(w, math.sqrt(n) / scale, out=root_w, casting="same_kind")
+    np.divide(off, scale * scale, out=off32, casting="same_kind")
+    np.divide(scale * scale, precond, out=inv_precond, casting="same_kind")
+    np.divide(grad, grad_max, out=resid, casting="same_kind")
 
-    x = np.zeros((p, p), dtype=np.float32)
-    z = resid * inv_precond
-    direction = z.copy()
-    image = np.empty((p, p), dtype=np.float32)
-    scratch = np.empty((p, p), dtype=np.float32)
-    rz = float(np.vdot(resid, z))
+    x_flat, resid_flat, z_flat = x.reshape(-1), resid.reshape(-1), z.reshape(-1)
+    direction_flat, image_flat = direction.reshape(-1), image.reshape(-1)
+    x_flat.fill(0.0)
+    np.multiply(resid, inv_precond, out=z)
+    direction_flat[:] = z_flat
+    rz = _DOT(resid_flat, z_flat)
     for _ in range(_CG_ITERATIONS):
         if rz == 0.0:
             break
         np.matmul(root_w, direction, out=scratch)
         np.matmul(scratch, root_w, out=image)
         image += np.multiply(off32, direction, out=scratch)
-        curvature = float(np.vdot(direction, image))
+        curvature = _DOT(direction_flat, image_flat)
         if not curvature > 0.0:
             raise NumericalError(_INDEFINITE)
         alpha = rz / curvature
-        x += np.multiply(direction, alpha, out=scratch)
-        resid -= np.multiply(image, alpha, out=image)
+        _AXPY(direction_flat, x_flat, a=alpha)
+        _AXPY(image_flat, resid_flat, a=-alpha)
         np.multiply(resid, inv_precond, out=z)
-        rz_next = float(np.vdot(resid, z))
-        direction *= rz_next / rz
-        direction += z
+        rz_next = _DOT(resid_flat, z_flat)
+        _SCAL(rz_next / rz, direction_flat)
+        _AXPY(z_flat, direction_flat)
         rz = rz_next
     x = x.astype(np.float64) * (grad_max / (scale * scale))
     x = 0.5 * (x + x.T)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -839,6 +840,34 @@ class TestExitCodes:
         ])
         assert code == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("target", ["data_level_2.csv", "manifest.csv"])
+    def test_non_utf8_input_is_three(self, sim_dir, tmp_path, capsys, target):
+        data_dir = tmp_path / "data"
+        shutil.copytree(sim_dir, data_dir)
+        manifest, path = data_dir / "manifest.csv", data_dir / target
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        config = write_config(tmp_path / "fit.conf", "nu0 = 0.04", "max_iter = 5")
+        code = main([
+            "fit", "--config", config, "--manifest", str(manifest),
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_non_utf8_config_is_two(self, sim_dir, tmp_path, capsys):
+        config = tmp_path / "fit.conf"
+        config.write_bytes("nu0 = 0.04  # r\u00e9glage\n".encode("latin-1"))
+        code = main([
+            "fit", "--config", str(config), "--manifest", str(sim_dir / "manifest.csv"),
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{config}: not UTF-8 text" in err and "Traceback" not in err
         assert not (tmp_path / "fit.json").exists()
 
     def test_missing_nu0_is_config_error(self, sim_dir, tmp_path):

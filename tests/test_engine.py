@@ -837,12 +837,15 @@ class TestNewtonStep:
         assert is_positive_definite(stepped)
         assert precision_objective(stepped, scatter, n, d, 1.0) > value
 
-    @pytest.mark.parametrize("p", [2, 12, 40])
+    @pytest.mark.parametrize("p", [2, 7, 12, 40])
     @pytest.mark.parametrize("n_per_p", [3.0, 0.3])
     @pytest.mark.parametrize("nu0", [0.01, 0.05, 0.1])
     def test_gain_matches_a_float64_reference(self, rng, p, n_per_p, nu0):
         # The CG runs in single precision; the objective gain of the step
         # must still be that of the same step computed in double precision.
+        # Its vector updates are BLAS calls on p^2 entries, and p = 7 gives
+        # 49, a length that ends in the kernels' non-SIMD tail; an update
+        # that BLAS wrote to a copy instead of in place would show here.
         n = max(2, int(n_per_p * p))
         omega, scatter, d = self.inputs(rng, p, n, nu0)
         value = precision_objective(omega, scatter, n, d, 1.3)
@@ -890,10 +893,16 @@ class TestNewtonStep:
             assert abs(got - direct) <= 1e-9 * abs(value)
 
     def test_leaves_its_input_alone(self, rng):
-        omega, scatter, d = self.inputs(rng, 8, 30, 0.05)
-        given = omega.copy()
-        engine._newton_step(omega, scatter, 30, d, 1.0)
-        assert np.array_equal(omega, given)
+        # The step writes its work buffers in place (BLAS updates and casts
+        # into preallocated arrays); none of them may be an input.
+        for p in (2, 12, 40):
+            omega, scatter, d = self.inputs(rng, p, 3 * p, 0.05)
+            factor, _ = engine._POTRF(omega, lower=1, clean=0)
+            given = [array.copy() for array in (omega, scatter, d, factor)]
+            engine._newton_step(omega, scatter, 3 * p, d, 1.0)
+            engine._newton_step(omega, scatter, 3 * p, d, 1.0, factor)
+            for array, before in zip((omega, scatter, d, factor), given):
+                assert np.array_equal(array, before), p
 
     def test_indefinite_system_raises_inside_cg(self, rng):
         # Every entry of the preconditioner stays positive, so only the CG
