@@ -313,6 +313,14 @@ def _triangle(p: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
+@functools.lru_cache(maxsize=8)
+def _below_diagonal(p: int) -> np.ndarray:
+    """The boolean mask of a p x p matrix's strict lower triangle, read-only."""
+    below = np.tri(p, k=-1, dtype=bool)
+    below.setflags(write=False)
+    return below
+
+
 def _symmetric(values: np.ndarray, p: int, diagonal: float) -> np.ndarray:
     """The symmetric p x p matrix with ``values`` on both triangles."""
     upper, lower = _triangle(p)
@@ -544,12 +552,15 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
 
 
 _POTRF, _POTRI = get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
-# Level-1 BLAS of the Newton step's single-precision CG.  ``_AXPY`` and
-# ``_SCAL`` write their vector argument in place only when it is a
-# contiguous float32 array; given anything else they return a new array and
-# the update is lost, so they are called on flat views of C-contiguous
-# float32 buffers only.
-_AXPY, _DOT, _SCAL = get_blas_funcs(("axpy", "dot", "scal"), dtype=np.float32)
+# BLAS of the Newton step's single-precision CG.  ``_AXPY`` and ``_SCAL``
+# write their vector argument in place only when it is a contiguous float32
+# array, and ``_GEMM`` its ``c`` only when that is a Fortran-contiguous one;
+# given anything else they return a new array and the update is lost, so
+# they are called on flat views and transposes of C-contiguous float32
+# buffers only.
+_AXPY, _DOT, _SCAL, _GEMM = get_blas_funcs(
+    ("axpy", "dot", "scal", "gemm"), dtype=np.float32
+)
 
 
 def _logdet(factor: np.ndarray) -> float:
@@ -562,16 +573,15 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
 
     ``potri`` fills the lower triangle of the Fortran-ordered result, which
     is the upper triangle of its C-ordered transpose; that triangle is then
-    mirrored, so the result is C-contiguous and exactly symmetric.  The
-    factor's upper triangle is not read.
+    mirrored by one masked copy from the transpose (NumPy buffers the
+    overlapping source), so the result is C-contiguous and exactly
+    symmetric.  The factor's upper triangle is not read.
     """
     inverse, info = _POTRI(factor, lower=1)
     if info != 0:
         raise NumericalError("singular Cholesky factor of a precision matrix")
     inverse = inverse.T
-    upper, lower = _triangle(inverse.shape[0])
-    flat = inverse.reshape(-1)
-    flat[lower] = flat[upper]
+    np.copyto(inverse, inverse.T, where=_below_diagonal(inverse.shape[0]))
     return inverse
 
 
@@ -619,15 +629,21 @@ def _newton_step(
     products cost half as much.  Its inputs are normalised before the cast,
     ``sqrt(n) W / s``, ``D / s^2``, ``s^2 / precond`` and ``G / g`` with ``s
     = max |sqrt(n) W|`` and ``g = max |G|`` (1 if G = 0), so no scale of the
-    data overflows float32, and the direction is mapped back as ``X =
-    float64(X_32) g / s^2``; the step is thus equivariant under scaling the
-    data.  Each normalised input is formed in double precision and rounded
-    once, into its float32 buffer.  At the sizes fitted here a CG iteration
-    is bound by the cost of each call, not by its flops, so its vector work
-    runs as level-1 BLAS on flat views of the buffers: ``X += alpha P`` and
-    ``R -= alpha image`` are one ``axpy`` each, ``P <- Z + beta P`` is
-    ``scal`` then ``axpy``, and both inner products are ``dot``; the two
-    matrix products, ``D o P`` and ``Z = R o M^-1`` stay NumPy.  ``axpy``
+    data overflows float32, and the direction is mapped back symmetrised,
+    as ``X = (float64(X_32) + float64(X_32)') g / (2 s^2)``: the sum is
+    taken in double precision as it is cast, then scaled in place; the step
+    is thus equivariant under scaling the data.  Each normalised input is
+    formed in double precision and rounded once, into its float32 buffer.
+    At the sizes fitted here a CG iteration is bound by the cost of each
+    call, not by its flops, so its vector work runs as level-1 BLAS on flat
+    views of the buffers: ``X += alpha P`` and ``R -= alpha image`` are one
+    ``axpy`` each, ``P <- Z + beta P`` is ``scal`` then ``axpy``, and both
+    inner products are ``dot``.  The operator's image is built in one
+    buffer: ``D o P`` is written there first, and the second product with
+    ``sqrt(n) W / s`` is a level-3 ``gemm`` that accumulates into it (``C
+    <- A B + C``, beta = 1, on the Fortran-contiguous transposes), so ``D o
+    P`` takes no pass of its own; the first product and ``Z = R o M^-1``
+    stay NumPy.  ``axpy``
     rounds ``a x + y`` once where NumPy rounded the product and the sum
     apart, so X and R differ from a NumPy loop's in float32 rounding, and
     fits move at that level.  Everything else (the inverse, G, the
@@ -707,8 +723,10 @@ def _newton_step(
         if rz == 0.0:
             break
         np.matmul(root_w, direction, out=scratch)
-        np.matmul(scratch, root_w, out=image)
-        image += np.multiply(off32, direction, out=scratch)
+        np.multiply(off32, direction, out=image)
+        # image += scratch @ root_w, as image' += root_w' scratch' on the
+        # transposes, which are Fortran-contiguous views of the buffers.
+        _GEMM(1.0, root_w.T, scratch.T, beta=1.0, c=image.T, overwrite_c=1)
         curvature = _DOT(direction_flat, image_flat)
         if not curvature > 0.0:
             raise NumericalError(_INDEFINITE)
@@ -720,8 +738,8 @@ def _newton_step(
         _SCAL(rz_next / rz, direction_flat)
         _AXPY(z_flat, direction_flat)
         rz = rz_next
-    x = x.astype(np.float64) * (grad_max / (scale * scale))
-    x = 0.5 * (x + x.T)
+    x = np.add(x, x.T, dtype=np.float64)
+    x *= 0.5 * grad_max / (scale * scale)
 
     gain = 0.5 * float(np.vdot(grad, x))
     if not gain > 0.0:
@@ -842,8 +860,10 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     delta``, whose matrix is positive definite, preconditioned by its
     diagonal.  A product with ``I - J`` costs two p x p products and no
     ``eigh`` (``_ridge_newton_product``), so a step costs one ``eigh`` and
-    seven p x p products.  From a positive ``delta`` it stops once a step
-    moves no diagonal entry by more than 1e-12 of the largest, once a step below
+    seven p x p products.  The iteration starts from ``delta_j = n / (s_jj
+    + lambda)``, the fixed point when ``S`` is diagonal, so it starts on the
+    data's scale.  From a positive ``delta`` it stops once a step moves no
+    diagonal entry by more than 1e-12 of the largest, once a step below
     1e-4 of it no longer shrinks (the iteration has stalled at rounding
     level, which happens far above 1e-12 for data on a very small or large
     scale), or after 50 steps.  Every step yields a positive-definite omega,
@@ -855,7 +875,7 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     slab = 1.0 / (nu1 * nu1)
     system = np.array(scatter, dtype=float)
     base = np.diag(system) + lambda_diag
-    delta = np.ones(p)
+    delta = n / base
     previous = math.inf
     for _ in range(_RIDGE_STEPS):
         np.fill_diagonal(system, base - slab * delta)
@@ -890,7 +910,20 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
 
 
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
-    return ppi / (nu1 * nu1) + (1.0 - ppi) / (nu0 * nu0)
+    """Each entry's expected prior precision, p*/nu1^2 + (1 - p*)/nu0^2.
+
+    Formed as ``ppi * (1/nu1^2)`` with ``(1 - ppi) * (1/nu0^2)`` added into
+    it: multiplications by the two reciprocals instead of divisions, and two
+    temporaries.  The shorter ``ppi * (1/nu1^2 - 1/nu0^2) + 1/nu0^2`` is not
+    used: with nu0 << nu1 it cancels, and at p* = 1 it misses 1/nu1^2 by
+    about the rounding of 1/nu0^2 (1.4e-13 relative at nu0 = 0.018).  Here
+    p* = 1 and p* = 0 give 1/nu1^2 and 1/nu0^2 exactly.
+    """
+    d = np.multiply(ppi, 1.0 / (nu1 * nu1))
+    spike = np.subtract(1.0, ppi)
+    spike *= 1.0 / (nu0 * nu0)
+    d += spike
+    return d
 
 
 def cm_update_precision(
@@ -957,22 +990,32 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _latent_entropies(latents: _LevelLatents) -> tuple[float, float]:
-    """One level's latent-threshold and indicator entropies.
+def _latent_entropies(
+    latents: _LevelLatents, qstar: np.ndarray | None = None
+) -> tuple[float, float]:
+    """One level's latent-threshold and indicator entropies, from sums.
 
     The latent factor is a mixture of N(m, 1) truncated above zero (weight
-    p*) and below it, at the stored truncation location m; on each side
-    E[(z - m)^2] is 1 - m h_pos above zero and 1 + m h_neg below, with the
-    hazards and log Phi(+-m) of ``_probit_tails``.  The indicator entropy is
-    -sum p* log p* + (1 - p*) log(1 - p*), each product exactly 0 where its
-    probability is 0 (``_xlogx``).
+    p*) and below it (weight q* = 1 - p*), at the stored truncation location
+    m, with the hazards and log Phi(+-m) of ``_probit_tails``.  On each side
+    E[(z - m)^2] is 1 - m h_pos above zero and 1 + m h_neg below, so with
+    p* + q* = 1 the latent entropy over the level's M pairs is ``M (log 2 pi
+    + 1) / 2 - <m, p* h_pos - q* h_neg> / 2 + <p*, log Phi(m)> + <q*, log
+    Phi(-m)>``: one mean shift and three inner products.  The shift ``p*
+    h_pos - q* h_neg`` is E[z] - m of the factor that p* and m define; it is
+    formed from them, not from the stored E[z], so a state whose E[z] was
+    set otherwise still gets this factor's entropy.  The indicator entropy
+    is -sum p* log p* + q* log q*, each product exactly 0 where its
+    probability is 0 (``_xlogx``).  ``qstar`` is q* if the caller holds it.
     """
     pstar, m, _, _, (h_pos, h_neg, log_pos, log_neg) = latents
-    qstar = 1.0 - pstar
-    e_logq_above = -0.5 * _LOG_2PI - 0.5 * (1.0 - m * h_pos) - log_pos
-    e_logq_below = -0.5 * _LOG_2PI - 0.5 * (1.0 + m * h_neg) - log_neg
-    latent = float(-np.sum(pstar * e_logq_above + qstar * e_logq_below))
-    indicator = float(-np.sum(_xlogx(pstar) + _xlogx(qstar)))
+    if qstar is None:
+        qstar = 1.0 - pstar
+    shift = pstar * h_pos
+    shift -= np.multiply(qstar, h_neg)
+    latent = 0.5 * pstar.size * (_LOG_2PI + 1.0) - 0.5 * float(np.vdot(m, shift)) \
+        + float(np.vdot(pstar, log_pos)) + float(np.vdot(qstar, log_neg))
+    indicator = -float(np.sum(_xlogx(pstar))) - float(np.sum(_xlogx(qstar)))
     return latent, indicator
 
 
@@ -989,14 +1032,27 @@ def _elbo_terms(
 
     No parameter-dependent term is dropped and constants are kept, so traces
     are comparable across iterations of one fit.  Every edge term is read on
-    the upper triangle.  The entropies of the latent thresholds and the
-    edge indicators come from ``_latent_entropies``.  By default every term
-    is computed from the state alone.  ``fit`` passes what it already holds
-    for the same state: each level's log det(omega) from the Cholesky factor
-    its Newton step accepted, and the ``_LevelLatents`` that
-    ``update_edge_latents`` left (p*, the truncation location, E[z], E[z^2]
-    and the location's probit tails); both are then the values this
-    function would read or compute.
+    the upper triangle, as sums and inner products over its M = p(p-1)/2
+    pairs rather than a sum of entrywise terms, with q* = 1 - p* formed once
+    per level:
+
+    - the edge prior is ``-M (log(2 pi)/2 + log nu0) - (log nu1 - log nu0)
+      sum p* - (<omega^2, p*>/nu1^2 + <omega^2, q*>/nu0^2) / 2``;
+    - the latent log-likelihood is ``-M log(2 pi)/2 - (sum E[z^2] - 2 <E[z],
+      mbar> + <mbar, mbar> + sum var(zeta) + a^2 sum var(beta)) / 2`` with
+      the probit index ``mbar = E[zeta] + a E[beta]``; the two variance sums
+      are formed once per call;
+    - the entropies of the latent thresholds and the edge indicators come
+      from ``_latent_entropies``;
+    - ``<S, omega>`` and the zeta and beta priors are inner products too.
+
+    The entrywise forms are the tests' reference (``tests/reference.py``).
+    By default every term is computed from the state alone.  ``fit`` passes
+    what it already holds for the same state: each level's log det(omega)
+    from the Cholesky factor its Newton step accepted, and the
+    ``_LevelLatents`` that ``update_edge_latents`` left (p*, the truncation
+    location, E[z], E[z^2] and the location's probit tails); both are then
+    the values this function would read or compute.
     """
     p = state.p
     upper, _ = _triangle(p)
@@ -1004,13 +1060,14 @@ def _elbo_terms(
     log_nu1 = math.log(hyper.nu1)
     zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)
     bm, bv = state.beta_mean.take(upper), state.beta_var.take(upper)
+    zv_sum, bv_sum = float(np.sum(zv)), float(np.sum(bv))
     terms: dict[str, float] = {}
 
     for level in state.levels:
         omega = state.omega[level]
-        scatter = scatters[level]
         n = ns[level]
         nu0 = hyper.nu0_for(level)
+        log_nu0 = math.log(nu0)
         a_val = state.probit_level(level)
         level_latents = latents[level] if latents is not None else _stored_latents(state, level)
 
@@ -1022,46 +1079,43 @@ def _elbo_terms(
         else:
             logdet = logdets[level]
         terms[f"gaussian_loglik[{level}]"] = 0.5 * n * logdet \
-            - 0.5 * float(np.sum(scatter * omega)) - 0.5 * n * p * _LOG_2PI
+            - 0.5 * float(np.vdot(scatters[level], omega)) - 0.5 * n * p * _LOG_2PI
 
         pstar, _, ez, ez2, _ = level_latents
-        om = omega.take(upper)
-        d = _expected_prior_precision(pstar, nu0, hyper.nu1)
-        terms[f"edge_prior[{level}]"] = float(
-            np.sum(
-                -0.5 * _LOG_2PI
-                - (pstar * log_nu1 + (1.0 - pstar) * math.log(nu0))
-                - 0.5 * om * om * d
-            )
-        )
+        qstar = 1.0 - pstar
+        om_sq = omega.take(upper)
+        om_sq *= om_sq
+        terms[f"edge_prior[{level}]"] = -m_edges * (0.5 * _LOG_2PI + log_nu0) \
+            - (log_nu1 - log_nu0) * float(np.sum(pstar)) \
+            - 0.5 * (float(np.vdot(om_sq, pstar)) / (hyper.nu1 * hyper.nu1)
+                     + float(np.vdot(om_sq, qstar)) / (nu0 * nu0))
         terms[f"diagonal_prior[{level}]"] = p * math.log(hyper.lambda_diag / 2.0) \
             - 0.5 * hyper.lambda_diag * float(np.trace(omega))
 
-        m_bar = zm + a_val * bm
-        index_var = zv + a_val * a_val * bv
-        sq = ez2 - 2.0 * ez * m_bar + m_bar * m_bar + index_var
-        terms[f"latent_loglik[{level}]"] = float(np.sum(-0.5 * _LOG_2PI - 0.5 * sq))
+        m_bar = a_val * bm
+        m_bar += zm
+        sq = float(np.sum(ez2)) - 2.0 * float(np.vdot(ez, m_bar)) \
+            + float(np.vdot(m_bar, m_bar)) + zv_sum + a_val * a_val * bv_sum
+        terms[f"latent_loglik[{level}]"] = -0.5 * m_edges * _LOG_2PI - 0.5 * sq
         (
             terms[f"latent_entropy[{level}]"],
             terms[f"indicator_entropy[{level}]"],
-        ) = _latent_entropies(level_latents)
+        ) = _latent_entropies(level_latents, qstar)
 
-    terms["zeta_prior"] = float(
-        np.sum(
-            -0.5 * math.log(2.0 * math.pi * hyper.t0_sq)
-            - ((zm - hyper.n0) ** 2 + zv) / (2.0 * hyper.t0_sq)
-        )
-    )
-    terms["zeta_entropy"] = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * zv)))
+    z_dev = zm - hyper.n0
+    terms["zeta_prior"] = -0.5 * m_edges * math.log(2.0 * math.pi * hyper.t0_sq) \
+        - (float(np.vdot(z_dev, z_dev)) + zv_sum) / (2.0 * hyper.t0_sq)
+    terms["zeta_entropy"] = 0.5 * (m_edges * math.log(2.0 * math.pi * math.e)
+                                   + float(np.sum(np.log(zv))))
 
     if covariate_model:
         shape, rate = state.sigma_shape, state.sigma_rate
         e_prec = shape / rate
         e_log_prec = float(special.digamma(shape)) - math.log(rate)
-        terms["beta_prior"] = float(
-            np.sum(-0.5 * _LOG_2PI + 0.5 * e_log_prec - 0.5 * e_prec * (bm * bm + bv))
-        )
-        terms["beta_entropy"] = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * bv)))
+        terms["beta_prior"] = 0.5 * m_edges * (e_log_prec - _LOG_2PI) \
+            - 0.5 * e_prec * (float(np.vdot(bm, bm)) + bv_sum)
+        terms["beta_entropy"] = 0.5 * (m_edges * math.log(2.0 * math.pi * math.e)
+                                       + float(np.sum(np.log(bv))))
         terms["sigma_prior"] = (
             hyper.alpha_sigma * math.log(hyper.beta_sigma)
             - float(special.gammaln(hyper.alpha_sigma))

@@ -1,4 +1,5 @@
-"""Reference precision update for the tests: the column-wise CM sweep.
+"""Reference implementations for the tests: the column-wise CM sweep and
+the ELBO's term-by-term formulas.
 
 ``fit`` raises each precision matrix by one Newton-CG step
 (``ordnet.engine._newton_step``).  The sweep below maximises the same
@@ -6,17 +7,36 @@ objective column by column in closed form, so the tests use it as an
 independent oracle: its column updates match a numerical argmax, and its
 fixed point is the maximiser that ``refit_precision`` and ``ridge_start``
 must reach.  It costs O(p^4) per sweep and lives here, not in the package.
-Test modules import it as ``from reference import ...``, the way they import
-``conftest``.
+
+The ELBO terms below (``elbo_terms``, ``latent_entropies``) sum each term
+entry by entry over the upper triangle.  ``ordnet.engine._elbo_terms``
+forms the same terms from per-level sums and inner products, so the tests
+check it against these at a relative tolerance.
+
+Test modules import this file as ``from reference import ...``, the way
+they import ``conftest``.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Mapping
+
 import numpy as np
+from scipy import special
 from scipy.linalg import cho_solve
 
 from ordnet import NumericalError
-from ordnet.engine import _POTRF, _expected_prior_precision, _inverse_from_factor
+from ordnet.engine import (
+    _LOG_2PI,
+    _POTRF,
+    _expected_prior_precision,
+    _inverse_from_factor,
+    _logdet,
+    _stored_latents,
+    _triangle,
+    _xlogx,
+)
 
 
 def cm_sweep(
@@ -83,3 +103,128 @@ def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
         if np.max(np.abs(omega - before)) <= 1e-15 * np.max(np.abs(omega)):
             break
     return omega
+
+
+def expected_prior_precision(ppi, nu0, nu1):
+    """E[1/v] of an entry's prior variance v, as p*/nu1^2 + (1 - p*)/nu0^2."""
+    return ppi / (nu1 * nu1) + (1.0 - ppi) / (nu0 * nu0)
+
+
+def latent_entropies(latents) -> tuple[float, float]:
+    """One level's latent-threshold and indicator entropies.
+
+    The latent factor is a mixture of N(m, 1) truncated above zero (weight
+    p*) and below it, at the stored truncation location m; on each side
+    E[(z - m)^2] is 1 - m h_pos above zero and 1 + m h_neg below, with the
+    hazards and log Phi(+-m) of ``_probit_tails``.  The indicator entropy is
+    -sum p* log p* + (1 - p*) log(1 - p*), each product exactly 0 where its
+    probability is 0 (``_xlogx``).
+    """
+    pstar, m, _, _, (h_pos, h_neg, log_pos, log_neg) = latents
+    qstar = 1.0 - pstar
+    e_logq_above = -0.5 * _LOG_2PI - 0.5 * (1.0 - m * h_pos) - log_pos
+    e_logq_below = -0.5 * _LOG_2PI - 0.5 * (1.0 + m * h_neg) - log_neg
+    latent = float(-np.sum(pstar * e_logq_above + qstar * e_logq_below))
+    indicator = float(-np.sum(_xlogx(pstar) + _xlogx(qstar)))
+    return latent, indicator
+
+
+def elbo_terms(
+    state: VariationalState,
+    hyper: Hyperparameters,
+    scatters: Mapping[int, np.ndarray],
+    ns: Mapping[int, int],
+    covariate_model: bool,
+    logdets: Mapping[int, float] | None = None,
+    latents=None,
+) -> dict[str, float]:
+    """All named ELBO contributions; their sum is the ELBO.
+
+    No parameter-dependent term is dropped and constants are kept, so traces
+    are comparable across iterations of one fit.  Every edge term is read on
+    the upper triangle.  The entropies of the latent thresholds and the
+    edge indicators come from ``_latent_entropies``.  By default every term
+    is computed from the state alone.  ``fit`` passes what it already holds
+    for the same state: each level's log det(omega) from the Cholesky factor
+    its Newton step accepted, and the ``_LevelLatents`` that
+    ``update_edge_latents`` left (p*, the truncation location, E[z], E[z^2]
+    and the location's probit tails); both are then the values this
+    function would read or compute.
+    """
+    p = state.p
+    upper, _ = _triangle(p)
+    m_edges = p * (p - 1) / 2.0
+    log_nu1 = math.log(hyper.nu1)
+    zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)
+    bm, bv = state.beta_mean.take(upper), state.beta_var.take(upper)
+    terms: dict[str, float] = {}
+
+    for level in state.levels:
+        omega = state.omega[level]
+        scatter = scatters[level]
+        n = ns[level]
+        nu0 = hyper.nu0_for(level)
+        a_val = state.probit_level(level)
+        level_latents = latents[level] if latents is not None else _stored_latents(state, level)
+
+        if logdets is None:
+            # Cholesky, not the sign of a determinant: an even number of
+            # negative eigenvalues leaves the determinant positive.
+            factor, info = _POTRF(omega, lower=1, clean=0)
+            logdet = -np.inf if info > 0 else _logdet(factor)
+        else:
+            logdet = logdets[level]
+        terms[f"gaussian_loglik[{level}]"] = 0.5 * n * logdet \
+            - 0.5 * float(np.sum(scatter * omega)) - 0.5 * n * p * _LOG_2PI
+
+        pstar, _, ez, ez2, _ = level_latents
+        om = omega.take(upper)
+        d = expected_prior_precision(pstar, nu0, hyper.nu1)
+        terms[f"edge_prior[{level}]"] = float(
+            np.sum(
+                -0.5 * _LOG_2PI
+                - (pstar * log_nu1 + (1.0 - pstar) * math.log(nu0))
+                - 0.5 * om * om * d
+            )
+        )
+        terms[f"diagonal_prior[{level}]"] = p * math.log(hyper.lambda_diag / 2.0) \
+            - 0.5 * hyper.lambda_diag * float(np.trace(omega))
+
+        m_bar = zm + a_val * bm
+        index_var = zv + a_val * a_val * bv
+        sq = ez2 - 2.0 * ez * m_bar + m_bar * m_bar + index_var
+        terms[f"latent_loglik[{level}]"] = float(np.sum(-0.5 * _LOG_2PI - 0.5 * sq))
+        (
+            terms[f"latent_entropy[{level}]"],
+            terms[f"indicator_entropy[{level}]"],
+        ) = latent_entropies(level_latents)
+
+    terms["zeta_prior"] = float(
+        np.sum(
+            -0.5 * math.log(2.0 * math.pi * hyper.t0_sq)
+            - ((zm - hyper.n0) ** 2 + zv) / (2.0 * hyper.t0_sq)
+        )
+    )
+    terms["zeta_entropy"] = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * zv)))
+
+    if covariate_model:
+        shape, rate = state.sigma_shape, state.sigma_rate
+        e_prec = shape / rate
+        e_log_prec = float(special.digamma(shape)) - math.log(rate)
+        terms["beta_prior"] = float(
+            np.sum(-0.5 * _LOG_2PI + 0.5 * e_log_prec - 0.5 * e_prec * (bm * bm + bv))
+        )
+        terms["beta_entropy"] = float(np.sum(0.5 * np.log(2.0 * math.pi * math.e * bv)))
+        terms["sigma_prior"] = (
+            hyper.alpha_sigma * math.log(hyper.beta_sigma)
+            - float(special.gammaln(hyper.alpha_sigma))
+            + (hyper.alpha_sigma - 1.0) * e_log_prec
+            - hyper.beta_sigma * e_prec
+        )
+        terms["sigma_entropy"] = (
+            shape
+            - math.log(rate)
+            + float(special.gammaln(shape))
+            + (1.0 - shape) * float(special.digamma(shape))
+        )
+    return terms

@@ -36,7 +36,7 @@ from ordnet import (
     update_zeta,
 )
 from ordnet.engine import _LOG_2PI, _SQRT_2_OVER_PI, refit_precision
-from reference import cm_sweep, sweep_fixed_point, sweep_state_columns
+from reference import cm_sweep, elbo_terms, sweep_fixed_point, sweep_state_columns
 
 
 def grouped(rng, levels, n, p):
@@ -416,6 +416,71 @@ class TestUpperTriangleLayers:
         for a in self.LEVELS:
             for name, reference in full_latent_terms(state, a).items():
                 assert terms[name] == pytest.approx(reference, rel=1e-10)
+
+
+class TestElboTerms:
+    """``_elbo_terms``, formed from per-level sums, against the entrywise
+    formulas of ``tests/reference.py``, term by term."""
+
+    CASES = TestUpperTriangleLayers.CASES
+
+    @staticmethod
+    def scored_state(rng, p, far_index):
+        layers = TestUpperTriangleLayers()
+        data, hyper, state = layers.random_state(rng, p, far_index)
+        for a in layers.LEVELS:
+            update_edge_latents(state, hyper, a)
+        update_zeta(state, hyper)
+        update_beta(state, hyper)
+        update_sigma(state, hyper)
+        # Certain indicators: p* exactly 1 at the first level's first edge,
+        # exactly 0 at the second level's, and both at the last edge.
+        last = (p - 2, p - 1)
+        for a, pair, value in ((1, (0, 1), 1.0), (2, (0, 1), 0.0), (3, last, 1.0), (1, last, 0.0)):
+            state.ppi[a][pair] = state.ppi[a][pair[::-1]] = value
+        scatters = {a: sample_covariance(y) for a, y in zip(data.levels, data.data)}
+        ns = {a: y.shape[0] for a, y in zip(data.levels, data.data)}
+        return hyper, state, scatters, ns
+
+    @staticmethod
+    def assert_terms_match(terms, reference):
+        assert list(terms) == list(reference)
+        for name, value in reference.items():
+            assert terms[name] == pytest.approx(value, rel=1e-10), name
+
+    @pytest.mark.parametrize("covariate_model", [True, False])
+    @pytest.mark.parametrize("p, far_index", CASES)
+    def test_every_term_matches_the_entrywise_reference(self, rng, p, far_index, covariate_model):
+        hyper, state, scatters, ns = self.scored_state(rng, p, far_index)
+        args = (state, hyper, scatters, ns, covariate_model)
+        self.assert_terms_match(engine._elbo_terms(*args), elbo_terms(*args))
+
+    def test_a_hand_set_latent_mean_is_scored_as_it_stands(self, rng):
+        # E[z] written by hand, inconsistent with (p*, m): the latent
+        # log-likelihood reads it, and the entropy stays that of the factor
+        # that (p*, m) define.
+        hyper, state, scatters, ns = self.scored_state(rng, 5, False)
+        args = (state, hyper, scatters, ns, True)
+        before = engine._elbo_terms(*args)
+        for a in state.levels:
+            x = np.triu(rng.uniform(-4.0, 4.0, (5, 5)), 1)
+            state.ez[a] = x + x.T
+        terms = engine._elbo_terms(*args)
+        self.assert_terms_match(terms, elbo_terms(*args))
+        for a in state.levels:
+            assert terms[f"latent_entropy[{a}]"] == before[f"latent_entropy[{a}]"]
+            assert terms[f"latent_loglik[{a}]"] != before[f"latent_loglik[{a}]"]
+
+
+class TestExpectedPriorPrecision:
+    @pytest.mark.parametrize("nu0", [1e-3, 0.0183, 0.1])
+    @pytest.mark.parametrize("nu1", [1.0, 0.7])
+    def test_certain_indicators_give_the_pure_precisions(self, nu0, nu1):
+        # A form that cancels, ppi (1/nu1^2 - 1/nu0^2) + 1/nu0^2, misses
+        # 1/nu1^2 at ppi = 1 by about the rounding of 1/nu0^2.
+        d = engine._expected_prior_precision(np.array([[0.0, 1.0], [1.0, 0.0]]), nu0, nu1)
+        for value, expected in ((d[0, 0], 1.0 / (nu0 * nu0)), (d[0, 1], 1.0 / (nu1 * nu1))):
+            assert abs(value - expected) <= 1e-15 * expected
 
 
 class TestUpdateZeta:
@@ -1243,6 +1308,38 @@ class TestRidgeStart:
         base = scatter + np.eye(p)
         residual = n * w - base - (omega - np.diag(np.diag(omega)))
         assert np.max(np.abs(residual)) <= 1e-11 * max(np.max(np.abs(base)), n * np.max(w))
+
+    def test_small_scale_data_start_near_their_fixed_point(self, rng, monkeypatch):
+        # Data on a scale of 0.01 with lambda = 0.001: the diagonal's fixed
+        # point is of the order of n / (s_jj + lambda), about 10^3, where the
+        # iteration starts.  From a unit diagonal these designs took 15-22
+        # eigh calls.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(1)
+            return eigh(matrix)
+
+        counts = []
+        for p in (2, 3, 5):
+            for n in (1, 2):
+                for nu1 in (0.03, 0.1, 0.3):
+                    for _ in range(3):
+                        scatter = sample_covariance(0.01 * rng.standard_normal((n, p)))
+                        calls.clear()
+                        monkeypatch.setattr(np.linalg, "eigh", counting)
+                        omega = ridge_start(scatter, n, nu1, 0.001)
+                        monkeypatch.undo()
+                        counts.append(len(calls))
+                        self.assert_valid(omega)
+                        w = cho_solve(cho_factor(omega, lower=True), np.eye(p))
+                        slab = 1.0 / (nu1 * nu1)
+                        base = scatter + 0.001 * np.eye(p)
+                        residual = n * w - base - slab * (omega - np.diag(np.diag(omega)))
+                        scale = max(np.max(np.abs(n * w)), slab * np.max(np.abs(omega)))
+                        assert np.max(np.abs(residual)) <= 1e-11 * scale
+        assert np.median(counts) <= 4 and max(counts) <= 12
 
 
 class TestComputeElbo:
