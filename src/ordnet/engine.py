@@ -313,14 +313,6 @@ def _triangle(p: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-@functools.lru_cache(maxsize=8)
-def _below_diagonal(p: int) -> np.ndarray:
-    """The boolean mask of a p x p matrix's strict lower triangle, read-only."""
-    below = np.tri(p, k=-1, dtype=bool)
-    below.setflags(write=False)
-    return below
-
-
 def _symmetric(values: np.ndarray, p: int, diagonal: float) -> np.ndarray:
     """The symmetric p x p matrix with ``values`` on both triangles."""
     upper, lower = _triangle(p)
@@ -552,15 +544,12 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
 
 
 _POTRF, _POTRI = get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
-# BLAS of the Newton step's single-precision CG.  ``_AXPY`` and ``_SCAL``
-# write their vector argument in place only when it is a contiguous float32
-# array, and ``_GEMM`` its ``c`` only when that is a Fortran-contiguous one;
-# given anything else they return a new array and the update is lost, so
-# they are called on flat views and transposes of C-contiguous float32
-# buffers only.
-_AXPY, _DOT, _SCAL, _GEMM = get_blas_funcs(
-    ("axpy", "dot", "scal", "gemm"), dtype=np.float32
-)
+# Level-1 BLAS of the Newton step's single-precision CG.  ``_AXPY`` and
+# ``_SCAL`` write their vector argument in place only when it is a
+# contiguous float32 array; given anything else they return a new array and
+# the update is lost, so they are called on flat views of C-contiguous
+# float32 buffers only.
+_AXPY, _DOT, _SCAL = get_blas_funcs(("axpy", "dot", "scal"), dtype=np.float32)
 
 
 def _logdet(factor: np.ndarray) -> float:
@@ -573,15 +562,16 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
 
     ``potri`` fills the lower triangle of the Fortran-ordered result, which
     is the upper triangle of its C-ordered transpose; that triangle is then
-    mirrored by one masked copy from the transpose (NumPy buffers the
-    overlapping source), so the result is C-contiguous and exactly
-    symmetric.  The factor's upper triangle is not read.
+    mirrored, so the result is C-contiguous and exactly symmetric.  The
+    factor's upper triangle is not read.
     """
     inverse, info = _POTRI(factor, lower=1)
     if info != 0:
         raise NumericalError("singular Cholesky factor of a precision matrix")
     inverse = inverse.T
-    np.copyto(inverse, inverse.T, where=_below_diagonal(inverse.shape[0]))
+    upper, lower = _triangle(inverse.shape[0])
+    flat = inverse.reshape(-1)
+    flat[lower] = flat[upper]
     return inverse
 
 
@@ -629,21 +619,15 @@ def _newton_step(
     products cost half as much.  Its inputs are normalised before the cast,
     ``sqrt(n) W / s``, ``D / s^2``, ``s^2 / precond`` and ``G / g`` with ``s
     = max |sqrt(n) W|`` and ``g = max |G|`` (1 if G = 0), so no scale of the
-    data overflows float32, and the direction is mapped back symmetrised,
-    as ``X = (float64(X_32) + float64(X_32)') g / (2 s^2)``: the sum is
-    taken in double precision as it is cast, then scaled in place; the step
-    is thus equivariant under scaling the data.  Each normalised input is
-    formed in double precision and rounded once, into its float32 buffer.
-    At the sizes fitted here a CG iteration is bound by the cost of each
-    call, not by its flops, so its vector work runs as level-1 BLAS on flat
-    views of the buffers: ``X += alpha P`` and ``R -= alpha image`` are one
-    ``axpy`` each, ``P <- Z + beta P`` is ``scal`` then ``axpy``, and both
-    inner products are ``dot``.  The operator's image is built in one
-    buffer: ``D o P`` is written there first, and the second product with
-    ``sqrt(n) W / s`` is a level-3 ``gemm`` that accumulates into it (``C
-    <- A B + C``, beta = 1, on the Fortran-contiguous transposes), so ``D o
-    P`` takes no pass of its own; the first product and ``Z = R o M^-1``
-    stay NumPy.  ``axpy``
+    data overflows float32, and the direction is mapped back as ``X =
+    float64(X_32) g / s^2``; the step is thus equivariant under scaling the
+    data.  Each normalised input is formed in double precision and rounded
+    once, into its float32 buffer.  At the sizes fitted here a CG iteration
+    is bound by the cost of each call, not by its flops, so its vector work
+    runs as level-1 BLAS on flat views of the buffers: ``X += alpha P`` and
+    ``R -= alpha image`` are one ``axpy`` each, ``P <- Z + beta P`` is
+    ``scal`` then ``axpy``, and both inner products are ``dot``; the two
+    matrix products, ``D o P`` and ``Z = R o M^-1`` stay NumPy.  ``axpy``
     rounds ``a x + y`` once where NumPy rounded the product and the sum
     apart, so X and R differ from a NumPy loop's in float32 rounding, and
     fits move at that level.  Everything else (the inverse, G, the
@@ -723,10 +707,8 @@ def _newton_step(
         if rz == 0.0:
             break
         np.matmul(root_w, direction, out=scratch)
-        np.multiply(off32, direction, out=image)
-        # image += scratch @ root_w, as image' += root_w' scratch' on the
-        # transposes, which are Fortran-contiguous views of the buffers.
-        _GEMM(1.0, root_w.T, scratch.T, beta=1.0, c=image.T, overwrite_c=1)
+        np.matmul(scratch, root_w, out=image)
+        image += np.multiply(off32, direction, out=scratch)
         curvature = _DOT(direction_flat, image_flat)
         if not curvature > 0.0:
             raise NumericalError(_INDEFINITE)
@@ -738,8 +720,8 @@ def _newton_step(
         _SCAL(rz_next / rz, direction_flat)
         _AXPY(z_flat, direction_flat)
         rz = rz_next
-    x = np.add(x, x.T, dtype=np.float64)
-    x *= 0.5 * grad_max / (scale * scale)
+    x = x.astype(np.float64) * (grad_max / (scale * scale))
+    x = 0.5 * (x + x.T)
 
     gain = 0.5 * float(np.vdot(grad, x))
     if not gain > 0.0:
@@ -860,10 +842,8 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     delta``, whose matrix is positive definite, preconditioned by its
     diagonal.  A product with ``I - J`` costs two p x p products and no
     ``eigh`` (``_ridge_newton_product``), so a step costs one ``eigh`` and
-    seven p x p products.  The iteration starts from ``delta_j = n / (s_jj
-    + lambda)``, the fixed point when ``S`` is diagonal, so it starts on the
-    data's scale.  From a positive ``delta`` it stops once a step moves no
-    diagonal entry by more than 1e-12 of the largest, once a step below
+    seven p x p products.  From a positive ``delta`` it stops once a step
+    moves no diagonal entry by more than 1e-12 of the largest, once a step below
     1e-4 of it no longer shrinks (the iteration has stalled at rounding
     level, which happens far above 1e-12 for data on a very small or large
     scale), or after 50 steps.  Every step yields a positive-definite omega,
@@ -875,7 +855,7 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     slab = 1.0 / (nu1 * nu1)
     system = np.array(scatter, dtype=float)
     base = np.diag(system) + lambda_diag
-    delta = n / base
+    delta = np.ones(p)
     previous = math.inf
     for _ in range(_RIDGE_STEPS):
         np.fill_diagonal(system, base - slab * delta)
@@ -912,18 +892,11 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
     """Each entry's expected prior precision, p*/nu1^2 + (1 - p*)/nu0^2.
 
-    Formed as ``ppi * (1/nu1^2)`` with ``(1 - ppi) * (1/nu0^2)`` added into
-    it: multiplications by the two reciprocals instead of divisions, and two
-    temporaries.  The shorter ``ppi * (1/nu1^2 - 1/nu0^2) + 1/nu0^2`` is not
-    used: with nu0 << nu1 it cancels, and at p* = 1 it misses 1/nu1^2 by
-    about the rounding of 1/nu0^2 (1.4e-13 relative at nu0 = 0.018).  Here
-    p* = 1 and p* = 0 give 1/nu1^2 and 1/nu0^2 exactly.
+    The two weighted precisions are summed as they stand, so p* = 1 and p* =
+    0 give 1/nu1^2 and 1/nu0^2 exactly; ``p* (1/nu1^2 - 1/nu0^2) + 1/nu0^2``
+    would cancel when nu0 << nu1.
     """
-    d = np.multiply(ppi, 1.0 / (nu1 * nu1))
-    spike = np.subtract(1.0, ppi)
-    spike *= 1.0 / (nu0 * nu0)
-    d += spike
-    return d
+    return ppi / (nu1 * nu1) + (1.0 - ppi) / (nu0 * nu0)
 
 
 def cm_update_precision(
@@ -990,9 +963,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _latent_entropies(
-    latents: _LevelLatents, qstar: np.ndarray | None = None
-) -> tuple[float, float]:
+def _latent_entropies(latents: _LevelLatents, qstar: np.ndarray) -> tuple[float, float]:
     """One level's latent-threshold and indicator entropies, from sums.
 
     The latent factor is a mixture of N(m, 1) truncated above zero (weight
@@ -1006,11 +977,10 @@ def _latent_entropies(
     formed from them, not from the stored E[z], so a state whose E[z] was
     set otherwise still gets this factor's entropy.  The indicator entropy
     is -sum p* log p* + q* log q*, each product exactly 0 where its
-    probability is 0 (``_xlogx``).  ``qstar`` is q* if the caller holds it.
+    probability is 0 (``_xlogx``).  The caller passes q*, which it forms
+    once for the level's edge prior too.
     """
     pstar, m, _, _, (h_pos, h_neg, log_pos, log_neg) = latents
-    if qstar is None:
-        qstar = 1.0 - pstar
     shift = pstar * h_pos
     shift -= np.multiply(qstar, h_neg)
     latent = 0.5 * pstar.size * (_LOG_2PI + 1.0) - 0.5 * float(np.vdot(m, shift)) \

@@ -105,11 +105,6 @@ def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
     return omega
 
 
-def expected_prior_precision(ppi, nu0, nu1):
-    """E[1/v] of an entry's prior variance v, as p*/nu1^2 + (1 - p*)/nu0^2."""
-    return ppi / (nu1 * nu1) + (1.0 - ppi) / (nu0 * nu0)
-
-
 def latent_entropies(latents) -> tuple[float, float]:
     """One level's latent-threshold and indicator entropies.
 
@@ -179,7 +174,7 @@ def elbo_terms(
 
         pstar, _, ez, ez2, _ = level_latents
         om = omega.take(upper)
-        d = expected_prior_precision(pstar, nu0, hyper.nu1)
+        d = _expected_prior_precision(pstar, nu0, hyper.nu1)
         terms[f"edge_prior[{level}]"] = float(
             np.sum(
                 -0.5 * _LOG_2PI
