@@ -11,8 +11,12 @@ Newton-CG step whose line search accepts only a positive-definite matrix
 that raises the objective (``_newton_step``, O(p^3)).  Coordinate updates
 therefore never decrease the evidence lower bound (ELBO).  The step's CG
 solves the Newton system in single precision on a copy normalised to unit
-scale, its vector updates and inner products as level-1 BLAS calls; its
-line search and every factorisation stay in double precision.
+scale, each input rounded once and the Jacobi preconditioner formed in
+float32 from the rounded matrix, its vector updates and inner products as
+level-1 BLAS calls; its line search and every factorisation stay in double
+precision.  The edge-latent update runs on buffers of its own (``out=``
+ufunc calls), writing no input, and builds each symmetric matrix with one
+``take`` through a cached pair map.
 The line search scores each trial by the objective's change, from inner
 products formed once per step, so a trial costs one Cholesky factorisation.
 The factor is carried: the line search's Cholesky factor of each accepted
@@ -302,25 +306,26 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState
 
 
 @functools.lru_cache(maxsize=8)
-def _triangle(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the strict upper triangle of a p x p matrix, and of
-    its mirror image, in ``np.triu_indices`` order.  Read-only, since every
+def _triangle(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the strict upper triangle of a p x p matrix and of
+    its mirror image, in ``np.triu_indices`` order, and the p x p pair map:
+    entry (i, j) holds the position of pair (min(i, j), max(i, j)) in that
+    order, and the diagonal holds M = p(p-1)/2.  Read-only, since every
     caller with the same p shares them."""
     rows, cols = np.triu_indices(p, 1)
     upper, lower = rows * p + cols, cols * p + rows
-    upper.setflags(write=False)
-    lower.setflags(write=False)
-    return upper, lower
+    pairs = np.full(p * p, len(upper), dtype=np.intp)
+    pairs[upper] = pairs[lower] = np.arange(len(upper))
+    pairs = pairs.reshape(p, p)
+    for index in (upper, lower, pairs):
+        index.setflags(write=False)
+    return upper, lower, pairs
 
 
 def _symmetric(values: np.ndarray, p: int, diagonal: float) -> np.ndarray:
-    """The symmetric p x p matrix with ``values`` on both triangles."""
-    upper, lower = _triangle(p)
-    out = np.full((p, p), diagonal)
-    flat = out.reshape(-1)
-    flat[upper] = values
-    flat[lower] = values
-    return out
+    """The symmetric p x p matrix with ``values`` on both triangles and
+    ``diagonal`` on the diagonal: one ``take`` through the pair map."""
+    return np.concatenate((values, (diagonal,))).take(_triangle(p)[2])
 
 
 def _probit_tails(
@@ -337,22 +342,34 @@ def _probit_tails(
     overflows or divides by zero at any finite m; g may underflow to 0,
     which is its correct value there, and then the far hazard is 0.
     """
-    half_sq = 0.5 * m * m
-    s = special.erfcx(np.abs(m) / _SQRT2)
+    half_sq, s, g, sg, far_hazard, near_hazard = (np.empty(np.shape(m)) for _ in range(6))
+    np.multiply(m, 0.5, out=half_sq)
+    half_sq *= m
+    np.abs(m, out=s)
+    s /= _SQRT2
+    special.erfcx(s, out=s)
+    np.negative(half_sq, out=g)
     with np.errstate(under="ignore"):
-        g = np.exp(-half_sq)
-        sg = s * g
-        far_hazard = _SQRT_2_OVER_PI * g / (2.0 - sg)
-        far_log = np.log1p(-0.5 * sg)
-    near_hazard = _SQRT_2_OVER_PI / s
-    near_log = np.log(0.5 * s) - half_sq
+        np.exp(g, out=g)
+        np.multiply(s, g, out=sg)
+        np.multiply(g, _SQRT_2_OVER_PI, out=far_hazard)
+        np.subtract(2.0, sg, out=near_hazard)
+        far_hazard /= near_hazard
+        far_log = np.multiply(sg, -0.5, out=sg)
+        np.log1p(far_log, out=far_log)
+    np.divide(_SQRT_2_OVER_PI, s, out=near_hazard)
+    near_log = np.multiply(s, 0.5, out=s)
+    np.log(near_log, out=near_log)
+    near_log -= half_sq
     above = m >= 0.0  # the far tail lies above zero
-    return (
-        np.where(above, far_hazard, near_hazard),
-        np.where(above, near_hazard, far_hazard),
-        np.where(above, far_log, near_log),
-        np.where(above, near_log, far_log),
-    )
+    # The positive side takes the far tail above zero and the near one
+    # below; it is gathered anew, and the negative side is the far buffer
+    # with the near values copied in above zero.
+    h_pos = np.where(above, far_hazard, near_hazard)
+    log_pos = np.where(above, far_log, near_log)
+    np.copyto(far_hazard, near_hazard, where=above)
+    np.copyto(far_log, near_log, where=above)
+    return h_pos, far_hazard, log_pos, far_log
 
 
 def truncated_normal_moments(
@@ -390,12 +407,24 @@ def _edge_latent_core(
     side of zero, E[z^2] = 1 + m E[z].
     """
     h_pos, h_neg, log_pos, log_neg = tails
-    om_sq = omega * omega
-    log_slab = -math.log(nu1) - om_sq / (2.0 * nu1 * nu1) + log_pos
-    log_spike = -math.log(nu0) - om_sq / (2.0 * nu0 * nu0) + log_neg
-    p = special.expit(log_slab - log_spike)
-    ez = m + p * h_pos - (1.0 - p) * h_neg
-    return p, ez, 1.0 + m * ez
+    log_slab, log_spike, ez = (np.empty(np.shape(m)) for _ in range(3))
+    np.multiply(omega, omega, out=log_slab)
+    np.divide(log_slab, 2.0 * nu0 * nu0, out=log_spike)
+    log_slab /= 2.0 * nu1 * nu1
+    np.subtract(-math.log(nu1), log_slab, out=log_slab)
+    log_slab += log_pos
+    np.subtract(-math.log(nu0), log_spike, out=log_spike)
+    log_spike += log_neg
+    log_slab -= log_spike
+    pstar = special.expit(log_slab, out=log_slab)
+    np.multiply(pstar, h_pos, out=ez)
+    np.add(m, ez, out=ez)
+    spike_share = np.subtract(1.0, pstar, out=log_spike)
+    spike_share *= h_neg
+    ez -= spike_share
+    ez2 = np.multiply(m, ez)
+    ez2 += 1.0
+    return pstar, ez, ez2
 
 
 class _LevelLatents(NamedTuple):
@@ -412,7 +441,7 @@ class _LevelLatents(NamedTuple):
 
 def _stored_latents(state: VariationalState, level: int) -> _LevelLatents:
     """The same record read from the state's matrices."""
-    upper, _ = _triangle(state.p)
+    upper = _triangle(state.p)[0]
     zloc = state.zloc[level].take(upper)
     return _LevelLatents(
         state.ppi[level].take(upper),
@@ -442,9 +471,10 @@ def update_edge_latents(
     """
     level = int(level)
     p = state.p
-    upper, _ = _triangle(p)
+    upper = _triangle(p)[0]
     a_val = state.probit_level(level)
-    m = state.zeta_mean + a_val * state.beta_mean
+    m = np.multiply(state.beta_mean, a_val)
+    m += state.zeta_mean
     m_upper = m.take(upper)
     level_tails = _probit_tails(m_upper)
     pstar, ez_upper, ez2_upper = _edge_latent_core(
@@ -532,7 +562,7 @@ def update_beta(
 def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float, float]:
     """Optimal Gamma factor for the shared coefficient-scale precision."""
     p = state.p
-    upper, _ = _triangle(p)
+    upper = _triangle(p)[0]
     m_edges = p * (p - 1) / 2.0
     shape = hyper.alpha_sigma + m_edges / 2.0
     rate = hyper.beta_sigma + 0.5 * float(
@@ -569,7 +599,7 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError("singular Cholesky factor of a precision matrix")
     inverse = inverse.T
-    upper, lower = _triangle(inverse.shape[0])
+    upper, lower, _ = _triangle(inverse.shape[0])
     flat = inverse.reshape(-1)
     flat[lower] = flat[upper]
     return inverse
@@ -586,6 +616,12 @@ _ROUNDING = 1e-13
 _INDEFINITE = (
     "indefinite Newton system in the precision update; the prior precisions must be positive"
 )
+_SINGLE_RANGE = (
+    "the Newton system of the precision update leaves single-precision range: the variables' "
+    "scales differ too widely; standardise the data (GroupedDataset.prepare(scale=True))"
+)
+# Float32's smallest normal number: every preconditioner entry must reach it.
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 def _newton_step(
@@ -616,13 +652,22 @@ def _newton_step(
     The CG runs in single precision: ten iterations leave the direction
     inexact anyway, and inexact-Newton theory (Dembo, Eisenstat & Steihaug,
     1982) ties its quality to that truncation, not to float64 rounding; the
-    products cost half as much.  Its inputs are normalised before the cast,
-    ``sqrt(n) W / s``, ``D / s^2``, ``s^2 / precond`` and ``G / g`` with ``s
-    = max |sqrt(n) W|`` and ``g = max |G|`` (1 if G = 0), so no scale of the
-    data overflows float32, and the direction is mapped back as ``X =
-    float64(X_32) g / s^2``; the step is thus equivariant under scaling the
-    data.  Each normalised input is formed in double precision and rounded
-    once, into its float32 buffer.  At the sizes fitted here a CG iteration
+    products cost half as much.  Its inputs are normalised, ``sqrt(n) W /
+    s``, ``D / s^2`` and ``G / g`` with ``s = max |sqrt(n) W|`` and ``g =
+    max |G|`` (1 if G = 0), so no scale of the data overflows float32, and
+    the direction is mapped back as ``X = float64(X_32 + X_32') g / (2
+    s^2)``, symmetrised in float32 and cast once; the step is thus
+    equivariant under scaling the data.  Each normalised input is one
+    product with a scalar reciprocal, written by the float64 ufunc straight
+    into its float32 buffer, so it is rounded once.  The preconditioner of
+    the normalised system is formed in float32 from the rounded ``rw =
+    sqrt(n) W / s``: ``rw_ii rw_jj + rw_ij^2 + D_ij / s^2`` off the diagonal
+    and ``rw_ii^2`` on it, checked and inverted in place.  An entry below
+    float32's smallest normal number where ``d`` is not negative means that
+    the system spans more orders of magnitude than single precision holds
+    (columns on scales 1e-6 to 1e6, say); that raises ``NumericalError``
+    naming single-precision range, before any float32 overflow.  At the
+    sizes fitted here a CG iteration
     is bound by the cost of each call, not by its flops, so its vector work
     runs as level-1 BLAS on flat views of the buffers: ``X += alpha P`` and
     ``R -= alpha image`` are one ``axpy`` each, ``P <- Z + beta P`` is
@@ -630,10 +675,10 @@ def _newton_step(
     matrix products, ``D o P`` and ``Z = R o M^-1`` stay NumPy.  ``axpy``
     rounds ``a x + y`` once where NumPy rounded the product and the sum
     apart, so X and R differ from a NumPy loop's in float32 rounding, and
-    fits move at that level.  Everything else (the inverse, G, the
-    preconditioner check, the gain, the line search and every
-    factorisation) stays in double precision, so positive definiteness and
-    ascent keep their guarantees.
+    fits move at that level, as they do by the float32 preconditioner and
+    symmetrisation.  Everything else (the inverse, G, the gain, the line
+    search and every factorisation) stays in double precision, so positive
+    definiteness and ascent keep their guarantees.
 
     The symmetrised step is halved from length 1 until ``omega + alpha X``
     has a Cholesky factor and raises ``f`` by at least 1e-4 of the
@@ -655,10 +700,10 @@ def _newton_step(
     positive, or 30 halvings find no acceptable length, a copy of ``omega``
     comes back with its factor.
     Neither ``omega`` nor ``factor`` is written.  A system that is not
-    positive definite (met as an entry of the preconditioner or a CG
-    curvature ``<P, n W P W + D o P>`` that is not positive; only a
-    negative ``d`` can cause it) raises ``NumericalError``.  One step costs
-    O(p^3).
+    positive definite (met as an entry of the preconditioner that is not
+    positive where ``d`` is negative, or a CG curvature ``<P, n W P W + D o
+    P>`` that is not positive; only a negative ``d`` can cause it) raises
+    ``NumericalError``.  One step costs O(p^3).
     """
     p = omega.shape[0]
     base = np.array(scatter, dtype=float)
@@ -677,25 +722,30 @@ def _newton_step(
     grad = n * w
     grad -= base
     grad -= off_omega
-    w_diag = np.diag(w)
-    precond = np.outer(w_diag, w_diag)
-    precond += w * w
-    precond *= n
-    precond += off
-    np.fill_diagonal(precond, n * w_diag * w_diag)
-    if not np.min(precond) > 0.0:
-        raise NumericalError(_INDEFINITE)
     # The float32 system is divided through by s^2 and g, so that its
-    # largest entries are 1 whatever the scale of the data.
+    # largest entries are 1 whatever the scale of the data.  Each input is
+    # rounded once, into its buffer; the preconditioner is formed in float32
+    # from the rounded sqrt(n) W / s.
     scale = math.sqrt(n) * max(float(w.max()), -float(w.min()))
     grad_max = max(float(grad.max()), -float(grad.min())) or 1.0
     root_w, off32, inv_precond, resid, x, z, direction, image, scratch = np.empty(
         (9, p, p), dtype=np.float32
     )
     np.multiply(w, math.sqrt(n) / scale, out=root_w, casting="same_kind")
-    np.divide(off, scale * scale, out=off32, casting="same_kind")
-    np.divide(scale * scale, precond, out=inv_precond, casting="same_kind")
-    np.divide(grad, grad_max, out=resid, casting="same_kind")
+    np.multiply(off, 1.0 / (scale * scale), out=off32, casting="same_kind")
+    np.multiply(grad, 1.0 / grad_max, out=resid, casting="same_kind")
+    root_diag = np.diagonal(root_w)
+    np.outer(root_diag, root_diag, out=inv_precond)
+    inv_precond += np.multiply(root_w, root_w, out=scratch)
+    inv_precond += off32
+    np.fill_diagonal(inv_precond, root_diag * root_diag)
+    if not np.min(inv_precond) >= _TINY32:
+        # Only a negative d can make an entry non-positive; any other entry
+        # this small has left float32's range.
+        if np.any((inv_precond <= 0.0) & (off < 0.0)):
+            raise NumericalError(_INDEFINITE)
+        raise NumericalError(_SINGLE_RANGE)
+    np.reciprocal(inv_precond, out=inv_precond)
 
     x_flat, resid_flat, z_flat = x.reshape(-1), resid.reshape(-1), z.reshape(-1)
     direction_flat, image_flat = direction.reshape(-1), image.reshape(-1)
@@ -720,8 +770,9 @@ def _newton_step(
         _SCAL(rz_next / rz, direction_flat)
         _AXPY(z_flat, direction_flat)
         rz = rz_next
-    x = x.astype(np.float64) * (grad_max / (scale * scale))
-    x = 0.5 * (x + x.T)
+    x = np.multiply(
+        np.add(x, x.T, out=z), 0.5 * grad_max / (scale * scale), dtype=np.float64
+    )
 
     gain = 0.5 * float(np.vdot(grad, x))
     if not gain > 0.0:
@@ -784,6 +835,9 @@ _RIDGE_TOL = 1e-12
 _RIDGE_STALL = 1e-4
 # Conjugate-gradient iterations on each step's Newton system.
 _RIDGE_CG_ITERATIONS = 3
+# How far lambda tr(delta) may pass n p, the fixed point's bound, before
+# the iteration counts as diverged.
+_RIDGE_DIVERGED = 10.0
 
 
 def _ridge_spectrum(
@@ -802,8 +856,12 @@ def _ridge_spectrum(
     """
     b, v = np.linalg.eigh(system)
     root = np.sqrt(b * b + 4.0 * slab * n)
-    gap = np.where(b > 0.0, 4.0 * slab * n / (root + b), root - b)
-    rest = np.where(b > 0.0, root + b, 4.0 * slab * n / gap)
+    gap, rest = root - b, root + b
+    # Each is divided where the other side cancels, and only there: the
+    # cancelling side is zero once |b| dwarfs sqrt(4dn).
+    positive = b > 0.0
+    np.divide(4.0 * slab * n, rest, out=gap, where=positive)
+    np.divide(4.0 * slab * n, gap, out=rest, where=~positive)
     kernel = (rest[:, None] + rest[None, :]) / (2.0 * (root[:, None] + root[None, :]))
     return v, gap / (2.0 * slab), kernel
 
@@ -848,6 +906,12 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     level, which happens far above 1e-12 for data on a very small or large
     scale), or after 50 steps.  Every step yields a positive-definite omega,
     since every g(b) is positive, so a capped start is still a valid one.
+    At the fixed point ``lambda tr(omega) <= n p``, since the objective's
+    derivative along ``t omega`` vanishes there; an iterate whose diagonal
+    passes ten times that (or ten times the start's ``lambda p``) has
+    diverged, as happens when ``eigh`` cannot resolve a system whose
+    columns span some fifteen orders of magnitude, and raises
+    ``NumericalError`` before any overflow.
     The result, exactly symmetric, depends on the level's data, ``nu1`` and
     ``lambda_diag`` only, never on the spike.
     """
@@ -856,6 +920,9 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     system = np.array(scatter, dtype=float)
     base = np.diag(system) + lambda_diag
     delta = np.ones(p)
+    # lambda tr(omega) <= n p at the fixed point (f's derivative along
+    # omega -> t omega vanishes there), and the start has trace p.
+    bound = _RIDGE_DIVERGED * max(n * p, lambda_diag * p)
     previous = math.inf
     for _ in range(_RIDGE_STEPS):
         np.fill_diagonal(system, base - slab * delta)
@@ -885,6 +952,13 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
             break
         previous = scaled
         delta += step
+        if lambda_diag * float(np.sum(delta)) > bound:
+            raise NumericalError(
+                f"the all-slab ridge start diverged (lambda tr(omega) passed {bound:.3g}, "
+                f"{_RIDGE_DIVERGED:g} times its bound at the fixed point); the variables' "
+                f"scales differ too widely: standardise the data "
+                f"(GroupedDataset.prepare(scale=True))"
+            )
     omega = (v * g) @ v.T
     return 0.5 * (omega + omega.T)
 
@@ -1025,7 +1099,7 @@ def _elbo_terms(
     the values this function would read or compute.
     """
     p = state.p
-    upper, _ = _triangle(p)
+    upper = _triangle(p)[0]
     m_edges = p * (p - 1) / 2.0
     log_nu1 = math.log(hyper.nu1)
     zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)
@@ -1190,10 +1264,13 @@ def fit(
     (``_newton_step``) per level on that level's precision objective at the
     pass's expected prior precisions: the inverse from the matrix's Cholesky
     factor, ten preconditioned conjugate-gradient iterations on the Newton
-    system (in single precision, on a scale-normalised copy of it), and a
-    line search in double precision that accepts only a positive-definite
-    matrix that raises the objective (Armijo), so the ELBO trace stays an
-    ascent.
+    system (in single precision, on a scale-normalised copy of it whose
+    inputs and Jacobi preconditioner are each rounded once), and a line
+    search in double precision that accepts only a positive-definite matrix
+    that raises the objective (Armijo), so the ELBO trace stays an ascent.
+    Data whose columns differ in scale so widely that the start diverges, or
+    that the normalised system leaves single-precision range, raise
+    ``NumericalError``; standardised columns (``prepare(scale=True)``) fit.
     The step costs O(p^3) where a column-wise CM sweep costs O(p^4).  The
     factor is carried: the line search's factorisation of the accepted
     matrix gives the ELBO its log-determinant and starts the next step, so

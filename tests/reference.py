@@ -147,7 +147,7 @@ def elbo_terms(
     function would read or compute.
     """
     p = state.p
-    upper, _ = _triangle(p)
+    upper = _triangle(p)[0]
     m_edges = p * (p - 1) / 2.0
     log_nu1 = math.log(hyper.nu1)
     zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)

@@ -782,6 +782,29 @@ class TestFitDocumentLayout:
 
 
 class TestExitCodes:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_ridge_start_is_four(self, tmp_path, capsys):
+        # Column sds from 10^-7.5 to 10^7.5: the all-slab ridge start
+        # diverges, which is a numerical failure, not a LinAlgError.
+        rng = np.random.default_rng(1)
+        sds = np.logspace(-7.5, 7.5, 12)
+        names = [f"x{k}" for k in range(12)]
+        entries = []
+        for a in (1, 2, 3):
+            name = f"data_level_{a}.csv"
+            write_data_csv(str(tmp_path / name), rng.standard_normal((60, 12)) * sds, names)
+            entries.append((name, a, 60))
+        write_manifest(str(tmp_path / "manifest.csv"), entries)
+        config = write_config(tmp_path / "fit.conf", "nu0 = 0.04")
+        code = main([
+            "fit", "--config", config, "--manifest", str(tmp_path / "manifest.csv"),
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "ridge start diverged" in err and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_config_error_is_two(self, tmp_path):
         config = write_config(tmp_path / "bad.conf", "mystery = 1")
         assert main(["simulate", "--config", config, "--out-dir", str(tmp_path)]) == 2

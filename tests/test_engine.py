@@ -418,6 +418,89 @@ class TestUpperTriangleLayers:
                 assert terms[name] == pytest.approx(reference, rel=1e-10)
 
 
+def two_scatter_symmetric(values, p, diagonal):
+    """The construction ``_symmetric`` replaced: a filled matrix and two
+    fancy-index scatters through the triangle's flat indices."""
+    upper, lower, _ = engine._triangle(p)
+    out = np.full((p, p), diagonal)
+    flat = out.reshape(-1)
+    flat[upper] = values
+    flat[lower] = values
+    return out
+
+
+class TestInPlaceLayers:
+    """The edge-latent layer works on buffers of its own: it writes no
+    input, and no two of its results share memory, because ``latents`` keeps
+    the tails beside p*, E[z] and E[z^2] for the ELBO."""
+
+    @staticmethod
+    def assert_disjoint(arrays):
+        for k, first in enumerate(arrays):
+            for second in arrays[k + 1:]:
+                assert not np.shares_memory(first, second)
+
+    def test_probit_tails(self, rng):
+        m = np.concatenate([rng.uniform(-40.0, 40.0, 300), [0.0, -0.0, 40.0, -40.0]])
+        given = m.copy()
+        tails = engine._probit_tails(m)
+        assert m.tobytes() == given.tobytes()
+        self.assert_disjoint([m, *tails])
+
+    @pytest.mark.parametrize("location", [0.0, -0.0, 3.5, -3.5, 40.0, -40.0])
+    def test_probit_tails_of_a_0d_location(self, location):
+        point = engine._probit_tails(np.array(location))
+        grid = engine._probit_tails(np.array([location]))
+        for value, reference in zip(point, grid):
+            assert np.shape(value) == ()
+            assert value.tobytes() == reference.tobytes()
+
+    def test_edge_latent_core(self, rng):
+        p = 40
+        _, hyper, state = TestUpperTriangleLayers().random_state(rng, p)
+        upper = engine._triangle(p)[0]
+        omega = state.omega[1].take(upper)
+        m = (state.zeta_mean + state.beta_mean).take(upper)
+        tails = engine._probit_tails(m)
+        inputs = [omega, m, *tails]
+        given = [array.copy() for array in inputs]
+        results = engine._edge_latent_core(omega, m, tails, 0.05, 1.0)
+        for array, before in zip(inputs, given):
+            assert array.tobytes() == before.tobytes()
+        self.assert_disjoint(inputs + list(results))
+
+    @pytest.mark.parametrize("p, far_index", TestUpperTriangleLayers.CASES)
+    def test_update_edge_latents(self, rng, p, far_index):
+        _, hyper, state = TestUpperTriangleLayers().random_state(rng, p, far_index)
+        levels = TestUpperTriangleLayers.LEVELS
+        inputs = [state.zeta_mean, state.beta_mean, state.zeta_var, state.beta_var]
+        for a in levels:
+            inputs += [state.omega[a], state.ppi[a], state.ez[a], state.ez2[a], state.zloc[a]]
+        given = [array.copy() for array in inputs]
+        latents = {}
+        results = []
+        for a in levels:
+            results += update_edge_latents(state, hyper, a, latents)
+            record = latents[a]
+            results += [state.zloc[a], record.pstar, record.zloc, record.ez, record.ez2]
+            results += record.tails
+        for array, before in zip(inputs, given):
+            assert array.tobytes() == before.tobytes()
+        self.assert_disjoint(inputs + results)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 100])
+    @pytest.mark.parametrize("diagonal", [0.0, 1.0])
+    def test_symmetric_is_the_two_scatter_construction(self, rng, p, diagonal):
+        values = rng.standard_normal(p * (p - 1) // 2)
+        values[::3] = -0.0
+        got = engine._symmetric(values, p, diagonal)
+        expected = two_scatter_symmetric(values, p, diagonal)
+        assert got.dtype == expected.dtype and got.shape == (p, p)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, values)
+
+
 class TestElboTerms:
     """``_elbo_terms``, formed from per-level sums, against the entrywise
     formulas of ``tests/reference.py``, term by term."""
@@ -980,6 +1063,45 @@ class TestNewtonStep:
         with pytest.raises(NumericalError, match="indefinite Newton system"):
             engine._newton_step(omega, scatter, n, d, 1.0)
 
+    def test_indefinite_system_raises_at_the_preconditioner(self, rng):
+        # One pair's d, and its mirror's, at -2n(W_ii W_jj + W_ij^2) makes
+        # that preconditioner entry -n(W_ii W_jj + W_ij^2) < 0.  With a
+        # diagonal omega the operator is diagonal, and with the pair's
+        # scatter entry 0 its gradient entry is 0, so the CG never meets the
+        # pair: only the check before it can refuse the system.
+        p, n = 6, 40
+        _, scatter, _ = self.inputs(rng, p, n, 0.05)
+        scatter[1, 4] = scatter[4, 1] = 0.0
+        omega = np.diag(n / (np.diag(scatter) + 1.0))
+        w = np.linalg.inv(omega)
+        d = np.full((p, p), 1.0 / 0.05**2)
+        d[1, 4] = d[4, 1] = -2.0 * n * (w[1, 1] * w[4, 4] + w[1, 4] ** 2)
+        with pytest.raises(NumericalError, match="indefinite Newton system"):
+            engine._newton_step(omega, scatter, n, d, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("span, lambda_diag", [(9, 1.0), (6, 1e-6)])
+    def test_single_precision_range_is_reported(self, span, lambda_diag):
+        # Column sds from 10^-span to 10^span: on the small columns'
+        # diagonal (sqrt(n) W / s)^2 falls below float32's smallest normal
+        # number, though every d is positive.  Standardised columns fit.
+        p, n = 12, 36
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal((n, p)) * np.logspace(-span, span, p)
+        for scaled in (False, True):
+            if scaled:
+                y = y / y.std(axis=0, ddof=1)
+            scatter = sample_covariance(y - y.mean(axis=0))
+            omega = np.diag(n / (np.diag(scatter) + lambda_diag))
+            d = np.full((p, p), 1.0 / 0.05**2)
+            if scaled:
+                stepped, _ = engine._newton_step(omega, scatter, n, d, lambda_diag)
+                assert is_positive_definite(stepped)
+                continue
+            with pytest.raises(NumericalError, match="single-precision range") as raised:
+                engine._newton_step(omega, scatter, n, d, lambda_diag)
+            assert "prepare(scale=True)" in str(raised.value)
+
     def test_non_positive_definite_input_raises(self, rng):
         _, scatter, d = self.inputs(rng, 5, 30, 0.05)
         with pytest.raises(NumericalError, match="not positive definite"):
@@ -1216,6 +1338,31 @@ class TestRidgeStart:
         # The first step takes the diagonal from (1, 1) to about (-2.10, -0.68).
         scatter = np.array([[3.32, -2.41], [-2.41, 1.74]])
         self.assert_cm_fixed_point(scatter, 1, 0.1, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("span", [7.0, 7.5])
+    def test_a_diverging_start_raises(self, span):
+        # Three levels with column sds from 10^-span to 10^span.  At 10^7.5
+        # eigh cannot resolve the small columns' part of the system, and the
+        # iterates' diagonal grows without bound (eigenvalues from -2e12 on);
+        # at 10^7 the start still converges and fits.
+        rng = np.random.default_rng(1)
+        levels = (1, 2, 3)
+        sds = np.logspace(-span, span, 12)
+        data = GroupedDataset(
+            levels=levels, data=tuple(rng.standard_normal((60, 12)) * sds for _ in levels)
+        ).prepare()
+        hyper = Hyperparameters.from_edge_count_prior(12, levels, 0.04)
+        controls = FitControls(max_iter=2, min_iter=2)
+        if span < 7.5:
+            for y in data.data:
+                self.assert_valid(ridge_start(sample_covariance(y), 60, 1.0, 1.0))
+            assert fit(data, hyper, controls).iterations == 2
+            return
+        with pytest.raises(NumericalError, match="ridge start diverged"):
+            ridge_start(sample_covariance(data.data[0]), 60, 1.0, 1.0)
+        with pytest.raises(NumericalError, match="ridge start diverged"):
+            fit(data, hyper, controls)
 
     def test_stops_when_the_step_stalls(self, rng, monkeypatch):
         # Data on a small scale with a tiny lambda: the step stalls at
