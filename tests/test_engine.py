@@ -1088,19 +1088,17 @@ class TestNewtonStep:
         p, n = 12, 36
         rng = np.random.default_rng(0)
         y = rng.standard_normal((n, p)) * np.logspace(-span, span, p)
-        for scaled in (False, True):
-            if scaled:
-                y = y / y.std(axis=0, ddof=1)
-            scatter = sample_covariance(y - y.mean(axis=0))
+        d = np.full((p, p), 1.0 / 0.05**2)
+
+        def step(data):
+            scatter = sample_covariance(data - data.mean(axis=0))
             omega = np.diag(n / (np.diag(scatter) + lambda_diag))
-            d = np.full((p, p), 1.0 / 0.05**2)
-            if scaled:
-                stepped, _ = engine._newton_step(omega, scatter, n, d, lambda_diag)
-                assert is_positive_definite(stepped)
-                continue
-            with pytest.raises(NumericalError, match="single-precision range") as raised:
-                engine._newton_step(omega, scatter, n, d, lambda_diag)
-            assert "prepare(scale=True)" in str(raised.value)
+            return engine._newton_step(omega, scatter, n, d, lambda_diag)[0]
+
+        with pytest.raises(NumericalError, match="single-precision range") as raised:
+            step(y)
+        assert "prepare(scale=True)" in str(raised.value)
+        assert is_positive_definite(step(y / y.std(axis=0, ddof=1)))
 
     def test_non_positive_definite_input_raises(self, rng):
         _, scatter, d = self.inputs(rng, 5, 30, 0.05)
