@@ -1,18 +1,17 @@
 """Rank covariate-driven edges and the nodes they touch.
 
 After a joint fit, the slope matrix beta_mean says how strongly each edge's
-inclusion probability moves with the covariate.  Three tools turn it into
+inclusion probability moves with the covariate.  Two tools turn it into
 reportable structure:
 
-  * beta_sign_structure picks the k most positive and k most negative slopes,
-  * top_k_edge_subnetworks does the same but restricted to strict signs,
+  * top_k_edge_subnetworks picks the k most positive and the k most negative
+    slopes, never padding either side with slopes of the wrong sign,
   * rank_nodes_by_beta scores nodes by the summed |slope| of incident edges.
 """
 
 from ordnet import (
     Hyperparameters,
     SimulationConfig,
-    beta_sign_structure,
     fit,
     rank_nodes_by_beta,
     simulate_experiment,
@@ -31,7 +30,7 @@ beta = report.final_state.beta_mean
 # Pick k equal to the true number of changes per direction and check how
 # many of the top/bottom slopes land in the right class.
 k = len(truth.appearing)
-positive, negative = beta_sign_structure(beta, k)
+positive, negative = top_k_edge_subnetworks(beta, k)
 hits_appear = len(positive & truth.appearing)
 hits_disappear = len(negative & truth.disappearing)
 print(f"top {k} positive slopes: {hits_appear}/{k} are true appearing edges")
@@ -46,15 +45,14 @@ for edge in sorted(positive, key=lambda e: -beta[e]):
     print(f"{str(edge):<10} {beta[edge]:+.3f}   {label}")
 print()
 
-# The sign-restricted variant never pads with wrong-signed slopes.
-strict_positive, strict_negative = top_k_edge_subnetworks(beta, k)
-print(f"sign-restricted subnetworks: {len(strict_positive)} positive, "
-      f"{len(strict_negative)} negative edges")
+# A side holds fewer than k edges when fewer slopes have its sign.
+print(f"sign-restricted subnetworks: {len(positive)} positive, "
+      f"{len(negative)} negative edges")
 print()
 
 # Node ranking over the union of both subnetworks highlights the vertices
 # where the covariate reshapes the graph the most.
-ranking = rank_nodes_by_beta(beta, strict_positive | strict_negative)
+ranking = rank_nodes_by_beta(beta, positive | negative)
 changed_nodes = {v for e in truth.appearing | truth.disappearing for v in e}
 print("rank  node  score  touches a true changed edge")
 for rank, (node, score) in enumerate(ranking[:8], start=1):

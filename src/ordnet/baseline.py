@@ -27,8 +27,11 @@ class SslFit:
     ppi: np.ndarray
     elbo_trace: tuple[float, ...]
     converged: bool
-    iterations: int
     state: VariationalState
+
+    @property
+    def iterations(self) -> int:
+        return len(self.elbo_trace)
 
 
 def fit_ssl(
@@ -72,7 +75,6 @@ def fit_ssl(
         ppi=state.ppi[0],
         elbo_trace=report.elbo_trace,
         converged=report.converged,
-        iterations=report.iterations,
         state=state,
     )
 

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import _SOURCE
 from .core import DataError, GroupedDataset, NumericalError, parallel_map
 from .metrics import evaluate_fit, rank_nodes_by_beta, top_k_edge_subnetworks
 
@@ -40,28 +41,17 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1.0"
 
-# The names that need SciPy, by the ``ordnet`` export each stands for (the
-# package's ``_LAZY`` declares them).  ``__getattr__`` resolves each on first
-# access and keeps it as a module attribute; a command fetches them with
-# ``_late`` when it runs, so that a name set on this module (a test's spy,
-# the benchmark's tracer) is the one it calls.
-_LATE = {
-    "engine_fit": "fit",
-    "fit_ssl": "fit_ssl",
-    "line_search_nu0": "line_search_nu0",
-    "simulate_experiment": "simulate_experiment",
-    "Hyperparameters": "Hyperparameters",
-    "FitControls": "FitControls",
-    "intercept_prior": "intercept_prior",
-    "Nu0SearchConfig": "Nu0SearchConfig",
-    "SimulationConfig": "SimulationConfig",
-}
-
-
+# The names that need SciPy resolve through the package's ``_LAZY`` table
+# (``ordnet._SOURCE``), with ``engine_fit`` for ``ordnet.fit``.
+# ``__getattr__`` resolves each on first access and keeps it as a module
+# attribute; a command fetches them with ``_late`` when it runs, so that a
+# name set on this module (a test's spy, the benchmark's tracer) is the one
+# it calls.
 def __getattr__(name: str):
-    if name not in _LATE:
+    target = "fit" if name == "engine_fit" else name
+    if target not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(__package__), _LATE[name])
+    value = getattr(importlib.import_module(__package__), target)
     globals()[name] = value
     return value
 

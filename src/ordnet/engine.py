@@ -267,13 +267,12 @@ class FitReport:
     """Outcome of one variational fit."""
 
     elbo_trace: tuple[float, ...]
-    iterations: int
     converged: bool
     final_state: VariationalState
 
-    def __post_init__(self) -> None:
-        if len(self.elbo_trace) != self.iterations:
-            raise DataError("elbo_trace length must equal the iteration count")
+    @property
+    def iterations(self) -> int:
+        return len(self.elbo_trace)
 
 
 def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState:
@@ -608,8 +607,11 @@ def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
 # Conjugate-gradient iterations per Newton step; the line search's Armijo
 # constant, its cap on step halvings, and the first-order gain (relative to
 # |f|) below which the Armijo comparison would be decided by the rounding of
-# f and is not made.
+# f and is not made.  ``refit_precision`` takes at most _REFIT_STEPS steps,
+# stopping once a step moves no entry by _REFIT_TOL of the largest.
 _CG_ITERATIONS = 10
+_REFIT_STEPS = 100
+_REFIT_TOL = 1e-8
 _ARMIJO = 1e-4
 _HALVINGS = 30
 _ROUNDING = 1e-13
@@ -836,8 +838,10 @@ _RIDGE_STALL = 1e-4
 # Conjugate-gradient iterations on each step's Newton system.
 _RIDGE_CG_ITERATIONS = 3
 # How far lambda tr(delta) may pass n p, the fixed point's bound, before
-# the iteration counts as diverged.
+# the iteration counts as diverged; and how far, relative, a start capped at
+# _RIDGE_STEPS may pass it before it counts as short of the fixed point.
 _RIDGE_DIVERGED = 10.0
+_RIDGE_ROUNDING = 1e-12
 
 
 def _ridge_spectrum(
@@ -905,13 +909,16 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     1e-4 of it no longer shrinks (the iteration has stalled at rounding
     level, which happens far above 1e-12 for data on a very small or large
     scale), or after 50 steps.  Every step yields a positive-definite omega,
-    since every g(b) is positive, so a capped start is still a valid one.
-    At the fixed point ``lambda tr(omega) <= n p``, since the objective's
-    derivative along ``t omega`` vanishes there; an iterate whose diagonal
-    passes ten times that (or ten times the start's ``lambda p``) has
-    diverged, as happens when ``eigh`` cannot resolve a system whose
-    columns span some fifteen orders of magnitude, and raises
-    ``NumericalError`` before any overflow.
+    since every g(b) is positive.  At the fixed point ``lambda tr(omega) <=
+    n p``, since the objective's derivative along ``t omega`` vanishes
+    there; an iterate whose diagonal passes ten times that (or ten times the
+    start's ``lambda p``) has diverged, as happens when ``eigh`` cannot
+    resolve a system whose columns span some fifteen orders of magnitude,
+    and raises ``NumericalError`` before any overflow.  A start capped at 50
+    steps whose ``lambda tr(omega)`` passes ``n p`` by more than rounding is
+    far from the fixed point (on columns spanning about fourteen orders of
+    magnitude with n << p such iterates diverge given more steps) and raises
+    ``NumericalError`` too.
     The result, exactly symmetric, depends on the level's data, ``nu1`` and
     ``lambda_diag`` only, never on the spike.
     """
@@ -957,6 +964,16 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
                 f"the all-slab ridge start diverged (lambda tr(omega) passed {bound:.3g}, "
                 f"{_RIDGE_DIVERGED:g} times its bound at the fixed point); the variables' "
                 f"scales differ too widely: standardise the data "
+                f"(GroupedDataset.prepare(scale=True))"
+            )
+    else:
+        # tr(omega) is the sum of g, since V is orthogonal.
+        excess = lambda_diag * float(np.sum(g)) / (n * p)
+        if excess > 1.0 + _RIDGE_ROUNDING:
+            raise NumericalError(
+                f"the all-slab ridge start reached its cap of {_RIDGE_STEPS} steps with "
+                f"lambda tr(omega) at {excess:.4g} times n p, its bound at the fixed point; "
+                f"the variables' scales differ too widely: standardise the data "
                 f"(GroupedDataset.prepare(scale=True))"
             )
     omega = (v * g) @ v.T
@@ -1005,25 +1022,23 @@ def refit_precision(
     n: int,
     d: np.ndarray,
     lambda_diag: float,
-    max_steps: int = 100,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Iterate Newton steps (``_newton_step``) under a fixed prior-precision map.
 
     Used to re-shrink entries after hard edge selection: ``d`` carries slab
     precision on selected edges and spike precision elsewhere.  Stops when a
-    step changes no entry by more than ``tol`` times the largest entry
+    step changes no entry by more than 1e-8 times the largest entry
     magnitude, a rule that does not depend on the scale of the data, or
-    after ``max_steps`` steps.  Each step starts from the Cholesky factor
+    after 100 steps.  Each step starts from the Cholesky factor
     that the previous one accepted.
     """
     omega = np.array(omega, dtype=float)
     factor = None
-    for _ in range(max_steps):
+    for _ in range(_REFIT_STEPS):
         updated, factor = _newton_step(omega, scatter, n, d, lambda_diag, factor)
         change = float(np.max(np.abs(updated - omega)))
         omega = updated
-        if change <= tol * float(np.max(np.abs(omega))):
+        if change <= _REFIT_TOL * float(np.max(np.abs(omega))):
             break
     return omega
 
@@ -1197,17 +1212,6 @@ def compute_elbo(
     return value
 
 
-def _level_key(key) -> int:
-    """A level key as an int: an integer, or a string that parses as one."""
-    try:
-        level = int(key)
-    except (TypeError, ValueError):
-        level = None
-    if level is None or (not isinstance(key, str) and level != key):
-        raise DataError(f"start has a level key {key!r} that is not an integer")
-    return level
-
-
 _BURN_IN_PASSES = 5
 _ANNEAL_STEPS = 6
 _ANNEAL_SPAN = 4.0
@@ -1235,10 +1239,9 @@ def fit(
     ``start`` maps every level to its ``ridge_start(scatter, n, nu1,
     lambda_diag)`` precision matrix, computed by the caller, so that fits
     differing only in the spike can share it; the arrays are copied, never
-    written.  A level key may be an int or a string that parses as one (as a
-    JSON document gives it); any other key, a start that is not p x p, or
-    one that is not positive definite raises ``DataError``.  Without it
-    each level's ridge start is computed here.  Raises a numerical error naming the first non-finite
+    written.  Keys other than exactly the data's levels, a start that is not
+    p x p, or one that is not positive definite raise ``DataError``.
+    Without it each level's ridge start is computed here.  Raises a numerical error naming the first non-finite
     ELBO term if the objective degenerates.
 
     Initialisation runs in three deterministic stages before the first
@@ -1306,13 +1309,11 @@ def fit(
             a: ridge_start(scatters[a], ns[a], hyper.nu1, hyper.lambda_diag) for a in levels
         }
     else:
-        given = {_level_key(a): omega for a, omega in start.items()}
-        if len(given) != len(start) or sorted(given) != sorted(levels):
+        if set(start) != set(levels):
             raise DataError(
-                f"start has levels {sorted(_level_key(a) for a in start)}, "
-                f"the data has levels {sorted(levels)}"
+                f"start has levels {list(start)}, the data has levels {sorted(levels)}"
             )
-        start = {}
+        given, start = start, {}
         for a in levels:
             try:
                 start[a] = omega = np.array(given[a], dtype=float)
@@ -1376,9 +1377,4 @@ def fit(
                 converged = True
                 break
         previous = elbo
-    return FitReport(
-        elbo_trace=tuple(trace),
-        iterations=len(trace),
-        converged=converged,
-        final_state=state,
-    )
+    return FitReport(elbo_trace=tuple(trace), converged=converged, final_state=state)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 __all__ = [
-    "MetricsReport", "roc_auc", "precision_recall", "beta_sign_structure",
-    "rank_nodes_by_beta", "top_k_edge_subnetworks", "evaluate_fit",
+    "MetricsReport", "roc_auc", "precision_recall", "rank_nodes_by_beta",
+    "top_k_edge_subnetworks", "evaluate_fit",
 ]
 
 from dataclasses import dataclass
@@ -13,8 +13,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import DataError, Edge, edge_indicator, edge_set
-
-_EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,40 +93,17 @@ def precision_recall(
     return precision, recall
 
 
-def _first_edges(matrix: np.ndarray, k: int, descending: bool, keep=None) -> list[Edge]:
+def _first_edges(matrix: np.ndarray, k: int, descending: bool, keep) -> list[Edge]:
     """The first k upper-triangle edges of ``matrix`` by value.
 
     Edges are ordered by value, descending or ascending, ties broken by
-    (row, column) ascending; ``keep``, given, maps the ordered values to a
-    mask of the edges that may be chosen.  Only the chosen k become tuples.
+    (row, column) ascending; ``keep`` maps the ordered values to a mask of
+    the edges that may be chosen.  Only the chosen k become tuples.
     """
     values, rows, cols = _upper_values(matrix)
     order = np.lexsort((cols, rows, -values if descending else values))
-    if keep is not None:
-        order = order[keep(values[order])]
-    order = order[:k]
+    order = order[keep(values[order])][:k]
     return list(zip(rows[order].tolist(), cols[order].tolist()))
-
-
-def beta_sign_structure(
-    beta_mean: np.ndarray, k: int
-) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """Top-k and bottom-k edges of the coefficient matrix by value.
-
-    Returns ``(positive, negative)``: the k largest entries and the k
-    smallest.  Raises an error if the two selections overlap (k too large for
-    the number of distinct edges).
-    """
-    values, _, _ = _upper_values(beta_mean)
-    if k < 0:
-        raise DataError("k must be non-negative")
-    if k > values.size:
-        raise DataError(f"k={k} exceeds the {values.size} available edges")
-    positive = frozenset(_first_edges(beta_mean, k, descending=True))
-    negative = frozenset(_first_edges(beta_mean, k, descending=False))
-    if positive & negative:
-        raise DataError("top and bottom selections overlap; reduce k")
-    return positive, negative
 
 
 def top_k_edge_subnetworks(

@@ -16,7 +16,6 @@ from ordnet import (
     GroupedDataset,
     Hyperparameters,
     SimulationConfig,
-    beta_sign_structure,
     ebic,
     edge_count_prior,
     fit,
@@ -30,6 +29,7 @@ from ordnet import (
     roc_auc,
     sample_covariance,
     simulate_experiment,
+    top_k_edge_subnetworks,
     truncated_normal_moments,
     update_beta,
     update_sigma,
@@ -147,7 +147,7 @@ def changed_edge_benchmark():
         report = fit(dataset.prepare(), hyper)
         _TRACES.append((f"changed-edge seed={seed}", report.elbo_trace))
         k = len(truth.appearing)
-        positive, negative = beta_sign_structure(report.final_state.beta_mean, k)
+        positive, negative = top_k_edge_subnetworks(report.final_state.beta_mean, k)
         hits = len(positive & truth.appearing) + len(negative & truth.disappearing)
         outcomes.append(hits / (2.0 * k))
     return outcomes

@@ -13,11 +13,11 @@ import ordnet.engine as engine
 from ordnet import (
     DataError,
     FitControls,
-    FitReport,
     GroupedDataset,
     Hyperparameters,
     NumericalError,
     SimulationConfig,
+    center_columns,
     cm_update_precision,
     compute_elbo,
     edge_count_prior,
@@ -148,10 +148,6 @@ class TestFitControls:
         for tol in (math.nan, math.inf):
             with pytest.raises(DataError, match="elbo_rel_tol must be positive and finite"):
                 FitControls(elbo_rel_tol=tol)
-
-    def test_report_trace_length_checked(self):
-        with pytest.raises(DataError):
-            FitReport(elbo_trace=(1.0,), iterations=2, converged=True, final_state=None)
 
 
 class TestInitState:
@@ -862,7 +858,7 @@ class TestRefitPrecision:
         d = np.full((p, p), 1.0)
         omega = refit_precision(np.eye(p), scatter, n, d, 1.0)
         assert is_positive_definite(omega)
-        again = refit_precision(omega, scatter, n, d, 1.0, max_steps=1)
+        again = engine._newton_step(omega, scatter, n, d, 1.0)[0]
         assert np.max(np.abs(again - omega)) < 1e-6
 
     @pytest.mark.parametrize(
@@ -1381,6 +1377,21 @@ class TestRidgeStart:
         self.assert_valid(omega)
         assert len(calls) <= 25 < engine._RIDGE_STEPS
 
+    def test_a_capped_start_short_of_its_fixed_point_raises(self):
+        # Column sds over 10^+-6.75 with n << p: the iterates reach the cap
+        # with lambda tr(omega) at 1.029 n p, above its bound at the fixed
+        # point (given more steps they diverge).
+        rng = np.random.default_rng(106)
+        p = int(rng.integers(2, 61))
+        n = max(2, int(round(p * 10 ** rng.uniform(-1, np.log10(3)))))
+        nu1 = 10 ** rng.uniform(-1.5, 1)
+        lam = 10 ** rng.uniform(-6, np.log10(0.15))
+        span = rng.uniform(0, 7)
+        y = center_columns(rng.standard_normal((n, p)) * np.logspace(-span, span, p))
+        assert (p, n) == (34, 4)
+        with pytest.raises(NumericalError, match="cap of 50 steps.*prepare\\(scale=True\\)"):
+            ridge_start(sample_covariance(y), n, nu1, lam)
+
     def test_capped_start_is_still_a_valid_pair(self, rng, monkeypatch):
         # n << p with a narrow slab: the setting where plain fixed-point
         # iteration needs thousands of steps.
@@ -1781,22 +1792,21 @@ class TestFit:
             fit(data, default_hyper((1, 2)), start=start)
 
     def test_start_keyed_by_level_strings(self, rng):
-        # A start read from a JSON document has string keys.
+        # A level key is the level itself: string keys, as a JSON document
+        # gives them, and keys that no sort can order are refused by name.
         levels = (1, 2)
         data = grouped(rng, levels, 20, 4)
         hyper = default_hyper(levels)
-        controls = FitControls(max_iter=5, min_iter=5)
         start = {
             a: ridge_start(sample_covariance(y), 20, 1.0, 1.0) for a, y in zip(levels, data.data)
         }
-        by_int = fit(data, hyper, controls, start=start)
-        by_str = fit(data, hyper, controls, start={str(a): omega for a, omega in start.items()})
-        assert by_str.elbo_trace == by_int.elbo_trace
-        for bad in ("one", 1.5, None):
-            with pytest.raises(DataError, match="not an integer"):
-                fit(data, hyper, controls, start={1: start[1], bad: start[2]})
         with pytest.raises(DataError, match="start has levels"):
-            fit(data, hyper, controls, start={**start, "1": start[1]})
+            fit(data, hyper, start={str(a): omega for a, omega in start.items()})
+        for bad in ("one", 1.5, None):
+            with pytest.raises(DataError, match="start has levels"):
+                fit(data, hyper, start={1: start[1], bad: start[2]})
+        with pytest.raises(DataError, match="start has levels"):
+            fit(data, hyper, start={**start, "1": start[1]})
 
     def test_start_of_the_wrong_shape_is_refused(self, rng):
         data = grouped(rng, (1, 2), 20, 5)

@@ -128,11 +128,10 @@ def test_each_exported_name_is_declared_once():
     assert set(ordnet.__all__) == declared
 
 
-@pytest.mark.parametrize("name", sorted(cli._LATE))
+@pytest.mark.parametrize("name", sorted(ordnet._SOURCE))
 def test_cli_late_names_are_package_exports(name):
-    target = cli._LATE[name]
-    assert target in ordnet.__all__
-    assert getattr(cli, name) is getattr(ordnet, target)
+    assert getattr(cli, name) is getattr(ordnet, name)
+    assert cli.engine_fit is ordnet.fit
 
 
 def test_dir_lists_every_exported_name():

@@ -8,7 +8,6 @@ from ordnet import (
     DataError,
     Hyperparameters,
     SimulationConfig,
-    beta_sign_structure,
     edge_count_prior,
     evaluate_fit,
     fit,
@@ -198,33 +197,6 @@ class TestPrecisionRecall:
             precision_recall(symmetric_scores(rng, 3), {(0, 1)}, threshold=1.5)
 
 
-class TestBetaSignStructure:
-    def test_zero_matrix_zero_k(self):
-        positive, negative = beta_sign_structure(np.zeros((4, 4)), 0)
-        assert positive == set() and negative == set()
-
-    def test_single_positive_entry(self):
-        beta = np.zeros((4, 4))
-        beta[1, 3] = beta[3, 1] = 0.8
-        positive, negative = beta_sign_structure(beta, 1)
-        assert positive == {(1, 3)}
-
-    def test_overlapping_selection_rejected(self):
-        beta = np.zeros((3, 3))
-        beta[0, 1] = beta[1, 0] = 0.5
-        with pytest.raises(DataError, match="overlap"):
-            beta_sign_structure(beta, 2)
-
-    def test_recovers_changed_edges(self, changed_edge_fit):
-        state, truth = changed_edge_fit
-        k = len(truth.appearing)
-        positive, negative = beta_sign_structure(state.beta_mean, k)
-        hit_appearing = len(positive & truth.appearing) / k
-        hit_disappearing = len(negative & truth.disappearing) / k
-        assert hit_appearing >= 0.7
-        assert hit_disappearing >= 0.7
-
-
 class TestTopKEdgeSubnetworks:
     def test_zero_k_is_empty(self, rng):
         positive, negative = top_k_edge_subnetworks(symmetric_scores(rng, 4), 0)
@@ -241,11 +213,12 @@ class TestTopKEdgeSubnetworks:
     def test_negative_subnetwork_tracks_disappearing(self, changed_edge_fit):
         state, truth = changed_edge_fit
         k = len(truth.disappearing)
-        _, negative = top_k_edge_subnetworks(state.beta_mean, k)
+        positive, negative = top_k_edge_subnetworks(state.beta_mean, k)
         assert len(negative & truth.disappearing) / k >= 0.7
+        assert len(positive & truth.appearing) / len(truth.appearing) >= 0.7
 
 
-def sorted_edges_reference(beta, descending, keep=lambda value: True):
+def sorted_edges_reference(beta, descending, keep):
     """Every upper-triangle edge as a tuple, sorted in Python by value and
     then (row, column), with only those whose value ``keep`` accepts."""
     p = beta.shape[0]
@@ -255,8 +228,8 @@ def sorted_edges_reference(beta, descending, keep=lambda value: True):
 
 
 class TestSelectionAgainstPythonSort:
-    """The NumPy selection of both top-k functions against a plain sort of
-    all edges, on matrices full of ties and zeros (-0.0 among them)."""
+    """The NumPy top-k selection against a plain sort of all edges, on
+    matrices full of ties and zeros (-0.0 among them)."""
 
     @staticmethod
     def tied_matrix(rng, p):
@@ -275,18 +248,6 @@ class TestSelectionAgainstPythonSort:
             got = top_k_edge_subnetworks(beta, k)
             assert got == (frozenset(positive[:k]), frozenset(negative[:k]))
             assert all(type(i) is int and type(j) is int for i, j in got[0] | got[1])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_beta_sign_structure(self, seed):
-        rng = np.random.default_rng(seed)
-        beta = self.tied_matrix(rng, 9)
-        top, bottom = sorted_edges_reference(beta, True), sorted_edges_reference(beta, False)
-        for k in (0, 1, 4, 10):
-            if set(top[:k]) & set(bottom[:k]):
-                with pytest.raises(DataError, match="overlap"):
-                    beta_sign_structure(beta, k)
-            else:
-                assert beta_sign_structure(beta, k) == (frozenset(top[:k]), frozenset(bottom[:k]))
 
 
 class TestRankNodesByBeta:
