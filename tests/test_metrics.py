@@ -213,9 +213,23 @@ class TestTopKEdgeSubnetworks:
     def test_negative_subnetwork_tracks_disappearing(self, changed_edge_fit):
         state, truth = changed_edge_fit
         k = len(truth.disappearing)
-        positive, negative = top_k_edge_subnetworks(state.beta_mean, k)
+        _, negative = top_k_edge_subnetworks(state.beta_mean, k)
         assert len(negative & truth.disappearing) / k >= 0.7
-        assert len(positive & truth.appearing) / len(truth.appearing) >= 0.7
+
+
+class TestBetaSignStructure:
+    """The signs of ``beta_mean`` on a fit with known changed edges: the
+    top-k positive slopes find the appearing edges, the top-k negative
+    slopes the disappearing ones."""
+
+    def test_recovers_changed_edges(self, changed_edge_fit):
+        state, truth = changed_edge_fit
+        k = len(truth.appearing)
+        positive, negative = top_k_edge_subnetworks(state.beta_mean, k)
+        hit_appearing = len(positive & truth.appearing) / k
+        hit_disappearing = len(negative & truth.disappearing) / k
+        assert hit_appearing >= 0.7
+        assert hit_disappearing >= 0.7
 
 
 def sorted_edges_reference(beta, descending, keep):
