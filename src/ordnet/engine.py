@@ -341,7 +341,7 @@ def _probit_tails(
     overflows or divides by zero at any finite m; g may underflow to 0,
     which is its correct value there, and then the far hazard is 0.
     """
-    half_sq, s, g, sg, far_hazard, near_hazard = (np.empty(np.shape(m)) for _ in range(6))
+    half_sq, s, g, sg, far_hazard, near_hazard = (np.empty(m.shape) for _ in range(6))
     np.multiply(m, 0.5, out=half_sq)
     half_sq *= m
     np.abs(m, out=s)
@@ -406,7 +406,7 @@ def _edge_latent_core(
     side of zero, E[z^2] = 1 + m E[z].
     """
     h_pos, h_neg, log_pos, log_neg = tails
-    log_slab, log_spike, ez = (np.empty(np.shape(m)) for _ in range(3))
+    log_slab, log_spike, ez = (np.empty(m.shape) for _ in range(3))
     np.multiply(omega, omega, out=log_slab)
     np.divide(log_slab, 2.0 * nu0 * nu0, out=log_spike)
     log_slab /= 2.0 * nu1 * nu1
@@ -565,7 +565,7 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
     m_edges = p * (p - 1) / 2.0
     shape = hyper.alpha_sigma + m_edges / 2.0
     rate = hyper.beta_sigma + 0.5 * float(
-        np.sum(state.beta_mean.take(upper) ** 2 + state.beta_var.take(upper))
+        (state.beta_mean.take(upper) ** 2 + state.beta_var.take(upper)).sum()
     )
     state.sigma_shape = shape
     state.sigma_rate = rate
@@ -582,8 +582,15 @@ _AXPY, _DOT, _SCAL = get_blas_funcs(("axpy", "dot", "scal"), dtype=np.float32)
 
 
 def _logdet(factor: np.ndarray) -> float:
-    """log det of a matrix from its Cholesky factor."""
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+    """log det of a matrix from its Cholesky factor L: 2 sum_i log L_ii.
+
+    The logs are taken over a view of L's diagonal and summed by the array
+    method, which rounds exactly as ``2 * np.sum(np.log(np.diag(L)))`` does
+    but without NumPy's Python-level wrappers; it runs for every factor of
+    every Newton step, line-search trial and ELBO.  Only L's diagonal is
+    read, so the upper triangle may hold anything.
+    """
+    return 2.0 * float(np.log(factor.diagonal()).sum())
 
 
 def _inverse_from_factor(factor: np.ndarray) -> np.ndarray:
@@ -711,7 +718,7 @@ def _newton_step(
     base = np.array(scatter, dtype=float)
     base.flat[:: p + 1] += lambda_diag
     off = np.array(d, dtype=float)
-    np.fill_diagonal(off, 0.0)
+    off.flat[:: p + 1] = 0.0
     if factor is None:
         factor, info = _POTRF(omega, lower=1, clean=0)
         if info > 0:
@@ -736,12 +743,12 @@ def _newton_step(
     np.multiply(w, math.sqrt(n) / scale, out=root_w, casting="same_kind")
     np.multiply(off, 1.0 / (scale * scale), out=off32, casting="same_kind")
     np.multiply(grad, 1.0 / grad_max, out=resid, casting="same_kind")
-    root_diag = np.diagonal(root_w)
-    np.outer(root_diag, root_diag, out=inv_precond)
+    root_diag = root_w.diagonal()
+    np.multiply.outer(root_diag, root_diag, out=inv_precond)
     inv_precond += np.multiply(root_w, root_w, out=scratch)
     inv_precond += off32
-    np.fill_diagonal(inv_precond, root_diag * root_diag)
-    if not np.min(inv_precond) >= _TINY32:
+    inv_precond.flat[:: p + 1] = root_diag * root_diag
+    if not inv_precond.min() >= _TINY32:
         # Only a negative d can make an entry non-positive; any other entry
         # this small has left float32's range.
         if np.any((inv_precond <= 0.0) & (off < 0.0)):
@@ -1036,18 +1043,23 @@ def refit_precision(
     factor = None
     for _ in range(_REFIT_STEPS):
         updated, factor = _newton_step(omega, scatter, n, d, lambda_diag, factor)
-        change = float(np.max(np.abs(updated - omega)))
+        change = float(np.abs(updated - omega).max())
         omega = updated
-        if change <= _REFIT_TOL * float(np.max(np.abs(omega))):
+        if change <= _REFIT_TOL * float(np.abs(omega).max()):
             break
     return omega
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x log x entrywise for x >= 0, exactly 0 where x is 0; log(0) is
-    never evaluated."""
-    out = np.zeros_like(x)
-    np.log(x, out=out, where=x > 0.0)
+    """x log x entrywise for x >= 0, exactly +0.0 where x is 0.
+
+    log(0) is never evaluated: every entry that is not positive is replaced
+    by 1 before the log, whose log is +0.0, and the product with x = 0 is
+    then +0.0.  Where x > 0 the result is x * log(x) bit for bit.  One
+    unmasked log over a selected copy costs less than a log under a
+    ``where=`` mask.
+    """
+    out = np.log(np.where(x > 0.0, x, 1.0))
     out *= x
     return out
 
@@ -1074,7 +1086,7 @@ def _latent_entropies(latents: _LevelLatents, qstar: np.ndarray) -> tuple[float,
     shift -= np.multiply(qstar, h_neg)
     latent = 0.5 * pstar.size * (_LOG_2PI + 1.0) - 0.5 * float(np.vdot(m, shift)) \
         + float(np.vdot(pstar, log_pos)) + float(np.vdot(qstar, log_neg))
-    indicator = -float(np.sum(_xlogx(pstar))) - float(np.sum(_xlogx(qstar)))
+    indicator = -float(_xlogx(pstar).sum()) - float(_xlogx(qstar).sum())
     return latent, indicator
 
 
@@ -1119,7 +1131,7 @@ def _elbo_terms(
     log_nu1 = math.log(hyper.nu1)
     zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)
     bm, bv = state.beta_mean.take(upper), state.beta_var.take(upper)
-    zv_sum, bv_sum = float(np.sum(zv)), float(np.sum(bv))
+    zv_sum, bv_sum = float(zv.sum()), float(bv.sum())
     terms: dict[str, float] = {}
 
     for level in state.levels:
@@ -1145,15 +1157,15 @@ def _elbo_terms(
         om_sq = omega.take(upper)
         om_sq *= om_sq
         terms[f"edge_prior[{level}]"] = -m_edges * (0.5 * _LOG_2PI + log_nu0) \
-            - (log_nu1 - log_nu0) * float(np.sum(pstar)) \
+            - (log_nu1 - log_nu0) * float(pstar.sum()) \
             - 0.5 * (float(np.vdot(om_sq, pstar)) / (hyper.nu1 * hyper.nu1)
                      + float(np.vdot(om_sq, qstar)) / (nu0 * nu0))
         terms[f"diagonal_prior[{level}]"] = p * math.log(hyper.lambda_diag / 2.0) \
-            - 0.5 * hyper.lambda_diag * float(np.trace(omega))
+            - 0.5 * hyper.lambda_diag * float(omega.trace())
 
         m_bar = a_val * bm
         m_bar += zm
-        sq = float(np.sum(ez2)) - 2.0 * float(np.vdot(ez, m_bar)) \
+        sq = float(ez2.sum()) - 2.0 * float(np.vdot(ez, m_bar)) \
             + float(np.vdot(m_bar, m_bar)) + zv_sum + a_val * a_val * bv_sum
         terms[f"latent_loglik[{level}]"] = -0.5 * m_edges * _LOG_2PI - 0.5 * sq
         (
@@ -1165,7 +1177,7 @@ def _elbo_terms(
     terms["zeta_prior"] = -0.5 * m_edges * math.log(2.0 * math.pi * hyper.t0_sq) \
         - (float(np.vdot(z_dev, z_dev)) + zv_sum) / (2.0 * hyper.t0_sq)
     terms["zeta_entropy"] = 0.5 * (m_edges * math.log(2.0 * math.pi * math.e)
-                                   + float(np.sum(np.log(zv))))
+                                   + float(np.log(zv).sum()))
 
     if covariate_model:
         shape, rate = state.sigma_shape, state.sigma_rate
@@ -1174,7 +1186,7 @@ def _elbo_terms(
         terms["beta_prior"] = 0.5 * m_edges * (e_log_prec - _LOG_2PI) \
             - 0.5 * e_prec * (float(np.vdot(bm, bm)) + bv_sum)
         terms["beta_entropy"] = 0.5 * (m_edges * math.log(2.0 * math.pi * math.e)
-                                       + float(np.sum(np.log(bv))))
+                                       + float(np.log(bv).sum()))
         terms["sigma_prior"] = (
             hyper.alpha_sigma * math.log(hyper.beta_sigma)
             - float(special.gammaln(hyper.alpha_sigma))
@@ -1351,8 +1363,9 @@ def fit(
                     state.omega[a], scatters[a], ns[a], d, at.lambda_diag, factors[a]
                 )
 
+    burn_in = tempered(0.0)
     for _ in range(_BURN_IN_PASSES):
-        coordinate_pass(tempered(0.0), update_precision=False)
+        coordinate_pass(burn_in, update_precision=False)
     for step in range(1, _ANNEAL_STEPS + 1):
         coordinate_pass(tempered(step / _ANNEAL_STEPS))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .baseline import SslFit, fit_ssl
 from .core import DataError, GroupedDataset, NumericalError, parallel_map, sample_covariance
 from .engine import FitControls, Hyperparameters, intercept_prior
-from .engine import refit_precision, ridge_start
+from .engine import _logdet, _triangle, refit_precision, ridge_start
 
 _EDGE_EPS = 1e-8
 # Candidates in the default grid.
@@ -80,7 +80,7 @@ def gaussian_log_likelihood(omega: np.ndarray, data: np.ndarray) -> float:
         chol = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise NumericalError("precision matrix is not positive definite")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = _logdet(chol)
     scatter = sample_covariance(data)
     return 0.5 * n * logdet - 0.5 * float(np.sum(scatter * omega)) \
         - 0.5 * n * p * math.log(2.0 * math.pi)
@@ -132,8 +132,7 @@ def ebic_for_ssl_fit(
     d = np.where(selected, 1.0 / (nu1 * nu1), 1.0 / (nu0 * nu0))
     scatter = sample_covariance(data)
     refit = refit_precision(fit.omega, scatter, n, d, lambda_diag)
-    iu = np.triu_indices(p, 1)
-    n_edges = int(np.count_nonzero(selected[iu]))
+    n_edges = int(np.count_nonzero(selected.take(_triangle(p)[0])))
     return ebic(refit, data, gamma, n_edges=n_edges)
 
 

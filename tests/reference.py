@@ -8,6 +8,9 @@ independent oracle: its column updates match a numerical argmax, and its
 fixed point is the maximiser that ``refit_precision`` and ``ridge_start``
 must reach.  It costs O(p^4) per sweep and lives here, not in the package.
 
+``logdet`` is the log-determinant from a Cholesky factor in its textbook
+form, the reference that ``ordnet.engine._logdet`` must equal bit for bit.
+
 The ELBO terms below (``elbo_terms``, ``latent_entropies``) sum each term
 entry by entry over the upper triangle.  ``ordnet.engine._elbo_terms``
 forms the same terms from per-level sums and inner products, so the tests
@@ -103,6 +106,11 @@ def sweep_fixed_point(omega, scatter, n, d, lambda_diag):
         if np.max(np.abs(omega - before)) <= 1e-15 * np.max(np.abs(omega)):
             break
     return omega
+
+
+def logdet(factor: np.ndarray) -> float:
+    """log det of a matrix from its Cholesky factor, ``2 sum log diag``."""
+    return 2 * np.sum(np.log(np.diag(factor)))
 
 
 def latent_entropies(latents) -> tuple[float, float]:

@@ -36,7 +36,7 @@ from ordnet import (
     update_zeta,
 )
 from ordnet.engine import _LOG_2PI, _SQRT_2_OVER_PI, refit_precision
-from reference import cm_sweep, elbo_terms, sweep_fixed_point, sweep_state_columns
+from reference import cm_sweep, elbo_terms, logdet, sweep_fixed_point, sweep_state_columns
 
 
 def grouped(rng, levels, n, p):
@@ -1218,6 +1218,42 @@ class TestLatentEntropies:
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             latent, indicator = engine._latent_entropies(self.latents(pstar, m), 1.0 - pstar)
         assert math.isfinite(latent) and math.isfinite(indicator)
+
+
+class TestXlogx:
+    def test_bit_equal_to_x_log_x_and_positive_zero_at_zero(self, rng):
+        x = np.concatenate(([0.0, 5e-324, 1.0 - 2.0**-53, 1.0], rng.uniform(size=500), [0.0]))
+        # x log x of the subnormal 5e-324 rounds to a subnormal, which sets
+        # the underflow flag in the product itself; nothing else may.
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = engine._xlogx(x)
+            positive = x > 0.0
+            expected = x[positive] * np.log(x[positive])
+        assert out[positive].tobytes() == expected.tobytes()
+        zeros = np.flatnonzero(~positive)
+        assert zeros.tolist() == [0, x.size - 1]
+        assert out[zeros].tobytes() == np.zeros(2).tobytes()
+
+    def test_silent_on_normal_products(self, rng):
+        x = np.concatenate(([0.0, 1.0 - 2.0**-53, 1.0], rng.uniform(size=500)))
+        with np.errstate(all="raise"):
+            out = engine._xlogx(x)
+        assert np.all(np.isfinite(out)) and np.all(out <= 0.0)
+
+
+class TestLogdet:
+    @pytest.mark.parametrize("p", [1, 2, 50, 100])
+    def test_bit_equal_to_the_textbook_form(self, rng, p):
+        for _ in range(5):
+            a = rng.normal(size=(p, p))
+            omega = a @ a.T + rng.uniform(0.01, 10.0) * np.eye(p)
+            # potrf leaves the upper triangle as it was: _logdet must not read it.
+            factor, info = engine._POTRF(omega, lower=1, clean=0)
+            assert info == 0
+            for matrix in (factor, np.linalg.cholesky(omega)):
+                value = engine._logdet(matrix)
+                assert isinstance(value, float)
+                assert np.float64(value).tobytes() == np.float64(logdet(matrix)).tobytes()
 
 
 def gathered_sweep(omega, w, scatter, n, d, lambda_diag, columns=None):
