@@ -49,8 +49,8 @@ def fit_ssl(
 
     The probit index reduces to the intercept alone.  When ``n0``/``t0_sq``
     are omitted they are elicited from the default edge-count prior
-    (expected edges = p, sd = p/2).  ``start`` is the data's
-    ``engine.ridge_start`` precision matrix, passed to ``engine.fit`` as the
+    (expected edges = p, sd = p/2).  ``start`` is the data's ridge start
+    (the one ``engine.fit`` would compute), passed to ``engine.fit`` as the
     start of its one level.
     """
     data = np.asarray(data, dtype=float)

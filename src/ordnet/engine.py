@@ -15,8 +15,7 @@ scale, each input rounded once and the Jacobi preconditioner formed in
 float32 from the rounded matrix, its vector updates and inner products as
 level-1 BLAS calls; its line search and every factorisation stay in double
 precision.  The edge-latent update runs on buffers of its own (``out=``
-ufunc calls), writing no input, and builds each symmetric matrix with one
-``take`` through a cached pair map.
+ufunc calls), writing no input.
 The line search scores each trial by the objective's change, from inner
 products formed once per step, so a trial costs one Cholesky factorisation.
 The factor is carried: the line search's Cholesky factor of each accepted
@@ -34,6 +33,18 @@ Factors updated each iteration, in this fixed order:
   4. the shared coefficient-scale precision (Gamma),
   5. precision matrices (one Newton step, per level),
 then the ELBO is evaluated.
+
+Every per-edge factor is stored on its pairs: ``VariationalState`` holds
+p*, E[z], E[z^2] and the truncation location of each level, and E[zeta],
+var(zeta), E[beta] and var(beta), each as one vector of the M = p(p-1)/2
+pairs of the strict upper triangle (``_triangle`` order) followed by one
+diagonal slot.  The updates and the ELBO work on these vectors; the
+Newton step's expected prior precisions become a p x p matrix by one
+``take`` through the cached pair map.  Read through ``state.ppi[level]``,
+``state.zeta_mean`` and the like, each field is the exactly symmetric p x p
+matrix, read-only, with the slot on its diagonal; assigning a p x p matrix
+stores its upper triangle and its first diagonal entry.  Only the precision
+matrices (``omega``) are stored as p x p matrices.
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -225,35 +237,106 @@ class FitControls:
             raise DataError(f"elbo_rel_tol must be positive and finite, got {self.elbo_rel_tol}")
 
 
+class _PairField:
+    """A per-edge field of ``VariationalState``, stored as the pair vector
+    ``<name>_pairs`` (a level-keyed dict of them where ``per_level``) and
+    read and assigned as p x p matrices: a read is ``_symmetric`` of the
+    pairs (a ``_LevelMatrices`` view where ``per_level``), an assignment
+    stores ``_pairs_of`` each matrix."""
+
+    def __init__(self, per_level: bool = False) -> None:
+        self.per_level = per_level
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = f"{name}_pairs"
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        pairs = getattr(state, self.name)
+        if self.per_level:
+            return _LevelMatrices(pairs, state.p)
+        return _symmetric(pairs, state.p)
+
+    def __set__(self, state, value) -> None:
+        p = state.p
+        if self.per_level:
+            value = {int(a): _pairs_of(matrix, p) for a, matrix in value.items()}
+        else:
+            value = _pairs_of(value, p)
+        setattr(state, self.name, value)
+
+
+class _LevelMatrices(Mapping):
+    """One per-level pair field as level-keyed p x p matrices: a read builds
+    the read-only matrix, an assignment stores the matrix's pairs."""
+
+    def __init__(self, pairs: dict[int, np.ndarray], p: int) -> None:
+        self._pairs, self._p = pairs, p
+
+    def __getitem__(self, level: int) -> np.ndarray:
+        return _symmetric(self._pairs[level], self._p)
+
+    def __setitem__(self, level: int, matrix: np.ndarray) -> None:
+        self._pairs[int(level)] = _pairs_of(matrix, self._p)
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
 @dataclass
 class VariationalState:
     """All variational factor parameters plus per-level precision estimates.
 
-    Matrices are dense, symmetric, with unused diagonals.  ``probit_levels``
-    holds the covariate values used in the probit index, aligned with
-    ``levels`` (``fit`` stores mean-centered values there so that results are
-    invariant to shifting all levels by a constant).  ``zloc`` records the
-    truncation location that defines the current latent-threshold factor;
-    the ELBO must evaluate that factor's moments at this stored location.
+    Each per-edge field is one vector of M + 1 entries (``*_pairs``): the M
+    = p(p-1)/2 pairs in ``_triangle`` order, then one slot that reads as
+    the whole diagonal, which the model never uses.  ``ppi``, ``ez``,
+    ``ez2`` and ``zloc`` map each level to such a vector; ``zeta_mean``,
+    ``zeta_var``, ``beta_mean`` and ``beta_var`` are one each.  Read
+    through their names (``state.ppi[level]``, ``state.zeta_mean``), the
+    fields are exactly symmetric p x p matrices, built on each read and
+    read-only, so that a write into one raises instead of being lost;
+    assigning a p x p matrix (or, for a per-level field, a level-keyed
+    mapping of them, or one matrix under a level) stores its strict upper
+    triangle and its first diagonal entry.  ``omega`` maps each level to its
+    p x p precision matrix.  ``probit_levels`` holds the covariate values
+    used in the probit index, aligned with ``levels`` (``fit`` stores
+    mean-centered values there so that results are invariant to shifting
+    all levels by a constant).  ``zloc`` records the truncation location
+    that defines the current latent-threshold factor; the ELBO must
+    evaluate that factor's moments at this stored location.
     """
 
     levels: tuple[int, ...]
     probit_levels: np.ndarray
     omega: dict[int, np.ndarray]
-    ppi: dict[int, np.ndarray]
-    ez: dict[int, np.ndarray]
-    ez2: dict[int, np.ndarray]
-    zloc: dict[int, np.ndarray]
-    zeta_mean: np.ndarray
-    zeta_var: np.ndarray
-    beta_mean: np.ndarray
-    beta_var: np.ndarray
+    ppi_pairs: dict[int, np.ndarray]
+    ez_pairs: dict[int, np.ndarray]
+    ez2_pairs: dict[int, np.ndarray]
+    zloc_pairs: dict[int, np.ndarray]
+    zeta_mean_pairs: np.ndarray
+    zeta_var_pairs: np.ndarray
+    beta_mean_pairs: np.ndarray
+    beta_var_pairs: np.ndarray
     sigma_shape: float
     sigma_rate: float
 
+    ppi = _PairField(per_level=True)
+    ez = _PairField(per_level=True)
+    ez2 = _PairField(per_level=True)
+    zloc = _PairField(per_level=True)
+    zeta_mean = _PairField()
+    zeta_var = _PairField()
+    beta_mean = _PairField()
+    beta_var = _PairField()
+
     @property
     def p(self) -> int:
-        return self.zeta_mean.shape[0]
+        # M + 1 = p(p-1)/2 + 1 entries per field.
+        return (1 + math.isqrt(8 * self.zeta_mean_pairs.size - 7)) // 2
 
     def probit_level(self, level: int) -> float:
         return float(self.probit_levels[self.levels.index(int(level))])
@@ -279,10 +362,13 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState
     """Standard starting point: identity precisions, inclusion probability 0.5.
 
     ``probit_levels`` starts at the raw level values; ``fit`` replaces them
-    with mean-centered copies before iterating.
+    with mean-centered copies before iterating.  Read as matrices, p*
+    and E[z^2] have zero diagonals.
     """
     p = data.p
-    off = 1.0 - np.eye(p)
+    slots = p * (p - 1) // 2 + 1
+    off = np.ones(slots)
+    off[-1] = 0.0
     if hyper.alpha_sigma > 1.0:
         beta_var0 = hyper.beta_sigma / (hyper.alpha_sigma - 1.0)
     else:
@@ -291,14 +377,14 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState
         levels=data.levels,
         probit_levels=np.array(data.levels, dtype=float),
         omega={a: np.eye(p) for a in data.levels},
-        ppi={a: 0.5 * off for a in data.levels},
-        ez={a: np.zeros((p, p)) for a in data.levels},
-        ez2={a: off.copy() for a in data.levels},
-        zloc={a: np.zeros((p, p)) for a in data.levels},
-        zeta_mean=np.full((p, p), hyper.n0),
-        zeta_var=np.full((p, p), hyper.t0_sq),
-        beta_mean=np.zeros((p, p)),
-        beta_var=np.full((p, p), beta_var0),
+        ppi_pairs={a: 0.5 * off for a in data.levels},
+        ez_pairs={a: np.zeros(slots) for a in data.levels},
+        ez2_pairs={a: off.copy() for a in data.levels},
+        zloc_pairs={a: np.zeros(slots) for a in data.levels},
+        zeta_mean_pairs=np.full(slots, hyper.n0),
+        zeta_var_pairs=np.full(slots, hyper.t0_sq),
+        beta_mean_pairs=np.zeros(slots),
+        beta_var_pairs=np.full(slots, beta_var0),
         sigma_shape=hyper.alpha_sigma,
         sigma_rate=hyper.beta_sigma,
     )
@@ -321,10 +407,33 @@ def _triangle(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upper, lower, pairs
 
 
-def _symmetric(values: np.ndarray, p: int, diagonal: float) -> np.ndarray:
-    """The symmetric p x p matrix with ``values`` on both triangles and
-    ``diagonal`` on the diagonal: one ``take`` through the pair map."""
-    return np.concatenate((values, (diagonal,))).take(_triangle(p)[2])
+@functools.lru_cache(maxsize=8)
+def _pair_slots(p: int) -> np.ndarray:
+    """Flat indices of the entries of a p x p matrix that its pair vector
+    holds: the strict upper triangle in ``_triangle`` order, then the first
+    diagonal entry.  Read-only, like ``_triangle``'s."""
+    slots = np.append(_triangle(p)[0], 0)
+    slots.setflags(write=False)
+    return slots
+
+
+def _symmetric(pairs: np.ndarray, p: int) -> np.ndarray:
+    """The exactly symmetric p x p matrix of a pair vector (the M pairs in
+    ``_triangle`` order, then the diagonal's value): one ``take`` through
+    the pair map.  Read-only, since a write into it could not reach the
+    pairs."""
+    matrix = pairs.take(_triangle(p)[2])
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _pairs_of(matrix: np.ndarray, p: int) -> np.ndarray:
+    """The pair vector of a p x p matrix: its strict upper triangle in
+    ``_triangle`` order, then its first diagonal entry."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (p, p):
+        raise ValueError(f"expected a {p} x {p} matrix, got shape {matrix.shape}")
+    return matrix.take(_pair_slots(p))
 
 
 def _probit_tails(
@@ -426,66 +535,42 @@ def _edge_latent_core(
     return pstar, ez, ez2
 
 
-class _LevelLatents(NamedTuple):
-    """One level's edge-latent factor on the upper triangle, as
-    ``update_edge_latents`` wrote it: p*, the truncation location, E[z],
-    E[z^2] and the location's ``_probit_tails``."""
-
-    pstar: np.ndarray
-    zloc: np.ndarray
-    ez: np.ndarray
-    ez2: np.ndarray
-    tails: tuple
-
-
-def _stored_latents(state: VariationalState, level: int) -> _LevelLatents:
-    """The same record read from the state's matrices."""
-    upper = _triangle(state.p)[0]
-    zloc = state.zloc[level].take(upper)
-    return _LevelLatents(
-        state.ppi[level].take(upper),
-        zloc,
-        state.ez[level].take(upper),
-        state.ez2[level].take(upper),
-        _probit_tails(zloc),
-    )
-
-
 def update_edge_latents(
     state: VariationalState,
     hyper: Hyperparameters,
     level: int,
-    latents: dict[int, _LevelLatents] | None = None,
+    tails: dict[int, tuple] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refresh p*, E[z] and E[z^2] for one level, in place.
 
-    Reads the precision matrix and the probit index on the upper triangle
-    only and writes exactly symmetric matrices, with diagonals 0, 0 and 1.
-    Also stores the full probit index as the level's new truncation
-    location.  Given a dict ``latents``, also stores there, under the level,
-    the upper-triangle p*, location, E[z] and E[z^2] with the location's
-    ``_probit_tails`` (a ``_LevelLatents``), which ``_elbo_terms`` can take
-    instead of reading and computing them again.  Returns the updated
-    ``(ppi, ez, ez2)`` matrices.
+    Works on the level's pair vectors: reads the precision matrix on the
+    upper triangle and the probit index E[zeta] + a E[beta] on the pairs,
+    and stores new vectors whose diagonal slots hold 0, 0 and 1.  Also
+    stores the probit index, diagonal slot included, as the level's new
+    truncation location.  Given a dict ``tails``, also stores there, under
+    the level, the location's ``_probit_tails``, which ``_elbo_terms`` can
+    take instead of computing them again.  Returns the new ``(ppi, ez,
+    ez2)`` pair vectors, the state's own.
     """
     level = int(level)
-    p = state.p
-    upper = _triangle(p)[0]
-    a_val = state.probit_level(level)
-    m = np.multiply(state.beta_mean, a_val)
-    m += state.zeta_mean
-    m_upper = m.take(upper)
-    level_tails = _probit_tails(m_upper)
-    pstar, ez_upper, ez2_upper = _edge_latent_core(
-        state.omega[level].take(upper), m_upper, level_tails, hyper.nu0_for(level), hyper.nu1
+    m = np.multiply(state.beta_mean_pairs, state.probit_level(level))
+    m += state.zeta_mean_pairs
+    level_tails = _probit_tails(m)
+    # The diagonal slot runs through the core on omega's first diagonal
+    # entry, and its results are then set to the diagonal's conventions.
+    pstar, ez, ez2 = _edge_latent_core(
+        state.omega[level].take(_pair_slots(state.p)), m, level_tails,
+        hyper.nu0_for(level), hyper.nu1,
     )
-    if latents is not None:
-        latents[level] = _LevelLatents(pstar, m_upper, ez_upper, ez2_upper, level_tails)
-    state.ppi[level] = ppi = _symmetric(pstar, p, 0.0)
-    state.ez[level] = ez = _symmetric(ez_upper, p, 0.0)
-    state.ez2[level] = ez2 = _symmetric(ez2_upper, p, 1.0)
-    state.zloc[level] = m
-    return ppi, ez, ez2
+    pstar[-1] = ez[-1] = 0.0
+    ez2[-1] = 1.0
+    if tails is not None:
+        tails[level] = level_tails
+    state.ppi_pairs[level] = pstar
+    state.ez_pairs[level] = ez
+    state.ez2_pairs[level] = ez2
+    state.zloc_pairs[level] = m
+    return pstar, ez, ez2
 
 
 # Both cores sum over levels in place, in the order of ``levels`` (the order
@@ -508,20 +593,23 @@ def update_zeta(
     """Optimal Gaussian factor for the probit intercepts.
 
     With ``edge=(i, j)`` returns that edge's updated ``(mean, variance)``
-    without touching the state; with ``edge=None`` applies the update to all
-    edges in place and returns the full ``(mean, variance)`` matrices.
+    without touching the state; with ``edge=None`` applies the update to
+    every pair and the diagonal slot in place and returns the new ``(mean,
+    variance)`` pair vectors.
     """
     a_vals = state.probit_levels
     if edge is not None:
-        i, j = edge
-        ez = [state.ez[a][i, j] for a in state.levels]
-        mean, var = _zeta_update_core(ez, state.beta_mean[i, j], a_vals, hyper.n0, hyper.t0_sq)
+        slot = _triangle(state.p)[2][edge]
+        ez = [state.ez_pairs[a][slot] for a in state.levels]
+        mean, var = _zeta_update_core(
+            ez, state.beta_mean_pairs[slot], a_vals, hyper.n0, hyper.t0_sq
+        )
         return float(mean), var
-    ez_stack = [state.ez[a] for a in state.levels]
-    mean, var = _zeta_update_core(ez_stack, state.beta_mean, a_vals, hyper.n0, hyper.t0_sq)
-    state.zeta_mean = mean
-    state.zeta_var = np.full_like(mean, var)
-    return mean, state.zeta_var
+    ez_stack = [state.ez_pairs[a] for a in state.levels]
+    mean, var = _zeta_update_core(ez_stack, state.beta_mean_pairs, a_vals, hyper.n0, hyper.t0_sq)
+    state.zeta_mean_pairs = mean
+    state.zeta_var_pairs = np.full(mean.shape, var)
+    return mean, state.zeta_var_pairs
 
 
 def _beta_update_core(ez_stack, zeta_mean, levels, e_sigma_prec):
@@ -547,26 +635,24 @@ def update_beta(
     e_prec = state.sigma_shape / state.sigma_rate
     a_vals = state.probit_levels
     if edge is not None:
-        i, j = edge
-        ez = [state.ez[a][i, j] for a in state.levels]
-        mean, var = _beta_update_core(ez, state.zeta_mean[i, j], a_vals, e_prec)
+        slot = _triangle(state.p)[2][edge]
+        ez = [state.ez_pairs[a][slot] for a in state.levels]
+        mean, var = _beta_update_core(ez, state.zeta_mean_pairs[slot], a_vals, e_prec)
         return float(mean), var
-    ez_stack = [state.ez[a] for a in state.levels]
-    mean, var = _beta_update_core(ez_stack, state.zeta_mean, a_vals, e_prec)
-    state.beta_mean = mean
-    state.beta_var = np.full_like(mean, var)
-    return mean, state.beta_var
+    ez_stack = [state.ez_pairs[a] for a in state.levels]
+    mean, var = _beta_update_core(ez_stack, state.zeta_mean_pairs, a_vals, e_prec)
+    state.beta_mean_pairs = mean
+    state.beta_var_pairs = np.full(mean.shape, var)
+    return mean, state.beta_var_pairs
 
 
 def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float, float]:
     """Optimal Gamma factor for the shared coefficient-scale precision."""
     p = state.p
-    upper = _triangle(p)[0]
     m_edges = p * (p - 1) / 2.0
     shape = hyper.alpha_sigma + m_edges / 2.0
-    rate = hyper.beta_sigma + 0.5 * float(
-        (state.beta_mean.take(upper) ** 2 + state.beta_var.take(upper)).sum()
-    )
+    bm = state.beta_mean_pairs[:-1]
+    rate = hyper.beta_sigma + 0.5 * float((bm ** 2 + state.beta_var_pairs[:-1]).sum())
     state.sigma_shape = shape
     state.sigma_rate = rate
     return shape, rate
@@ -987,6 +1073,18 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     return 0.5 * (omega + omega.T)
 
 
+def _start_slab(n: int, p: int, nu1: float) -> float:
+    """The slab standard deviation of a level's ``ridge_start`` in ``fit``
+    and ``line_search_nu0``: nu1, or nu1/10 on a level with fewer samples
+    (n) than variables (p).
+
+    With n < p the all-slab estimate at nu1 overfits: its off-diagonal
+    entries all land above the spike scale, and the fit keeps every edge in
+    the slab.  The narrower slab shrinks them to where the spike competes.
+    """
+    return nu1 if n >= p else nu1 / 10.0
+
+
 def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.ndarray:
     """Each entry's expected prior precision, p*/nu1^2 + (1 - p*)/nu0^2.
 
@@ -995,6 +1093,15 @@ def _expected_prior_precision(ppi: np.ndarray, nu0: float, nu1: float) -> np.nda
     would cancel when nu0 << nu1.
     """
     return ppi / (nu1 * nu1) + (1.0 - ppi) / (nu0 * nu0)
+
+
+def _prior_precisions(
+    state: VariationalState, hyper: Hyperparameters, level: int
+) -> np.ndarray:
+    """The p x p expected prior precisions at the level's p*, formed on its
+    pairs and made a matrix by one ``take``."""
+    d = _expected_prior_precision(state.ppi_pairs[level], hyper.nu0_for(level), hyper.nu1)
+    return _symmetric(d, state.p)
 
 
 def cm_update_precision(
@@ -1017,7 +1124,7 @@ def cm_update_precision(
     ``refit_precision`` does.
     """
     level = int(level)
-    d = _expected_prior_precision(state.ppi[level], hyper.nu0_for(level), hyper.nu1)
+    d = _prior_precisions(state, hyper, level)
     omega, _ = _newton_step(state.omega[level], scatter, n, d, hyper.lambda_diag)
     state.omega[level] = omega
     return omega
@@ -1064,7 +1171,9 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _latent_entropies(latents: _LevelLatents, qstar: np.ndarray) -> tuple[float, float]:
+def _latent_entropies(
+    pstar: np.ndarray, m: np.ndarray, tails: tuple, qstar: np.ndarray
+) -> tuple[float, float]:
     """One level's latent-threshold and indicator entropies, from sums.
 
     The latent factor is a mixture of N(m, 1) truncated above zero (weight
@@ -1081,7 +1190,7 @@ def _latent_entropies(latents: _LevelLatents, qstar: np.ndarray) -> tuple[float,
     probability is 0 (``_xlogx``).  The caller passes q*, which it forms
     once for the level's edge prior too.
     """
-    pstar, m, _, _, (h_pos, h_neg, log_pos, log_neg) = latents
+    h_pos, h_neg, log_pos, log_neg = tails
     shift = pstar * h_pos
     shift -= np.multiply(qstar, h_neg)
     latent = 0.5 * pstar.size * (_LOG_2PI + 1.0) - 0.5 * float(np.vdot(m, shift)) \
@@ -1097,15 +1206,15 @@ def _elbo_terms(
     ns: Mapping[int, int],
     covariate_model: bool,
     logdets: Mapping[int, float] | None = None,
-    latents: Mapping[int, _LevelLatents] | None = None,
+    tails: Mapping[int, tuple] | None = None,
 ) -> dict[str, float]:
     """All named ELBO contributions; their sum is the ELBO.
 
     No parameter-dependent term is dropped and constants are kept, so traces
     are comparable across iterations of one fit.  Every edge term is read on
-    the upper triangle, as sums and inner products over its M = p(p-1)/2
-    pairs rather than a sum of entrywise terms, with q* = 1 - p* formed once
-    per level:
+    the M = p(p-1)/2 pairs of the state's vectors (their diagonal slots left
+    out), as sums and inner products rather than a sum of entrywise terms,
+    with q* = 1 - p* formed once per level:
 
     - the edge prior is ``-M (log(2 pi)/2 + log nu0) - (log nu1 - log nu0)
       sum p* - (<omega^2, p*>/nu1^2 + <omega^2, q*>/nu0^2) / 2``;
@@ -1120,17 +1229,16 @@ def _elbo_terms(
     The entrywise forms are the tests' reference (``tests/reference.py``).
     By default every term is computed from the state alone.  ``fit`` passes
     what it already holds for the same state: each level's log det(omega)
-    from the Cholesky factor its Newton step accepted, and the
-    ``_LevelLatents`` that ``update_edge_latents`` left (p*, the truncation
-    location, E[z], E[z^2] and the location's probit tails); both are then
-    the values this function would read or compute.
+    from the Cholesky factor its Newton step accepted, and the probit tails
+    of each level's truncation location that ``update_edge_latents`` left
+    in ``tails``; both are then the values this function would compute.
     """
     p = state.p
     upper = _triangle(p)[0]
     m_edges = p * (p - 1) / 2.0
     log_nu1 = math.log(hyper.nu1)
-    zm, zv = state.zeta_mean.take(upper), state.zeta_var.take(upper)
-    bm, bv = state.beta_mean.take(upper), state.beta_var.take(upper)
+    zm, zv = state.zeta_mean_pairs[:-1], state.zeta_var_pairs[:-1]
+    bm, bv = state.beta_mean_pairs[:-1], state.beta_var_pairs[:-1]
     zv_sum, bv_sum = float(zv.sum()), float(bv.sum())
     terms: dict[str, float] = {}
 
@@ -1140,7 +1248,12 @@ def _elbo_terms(
         nu0 = hyper.nu0_for(level)
         log_nu0 = math.log(nu0)
         a_val = state.probit_level(level)
-        level_latents = latents[level] if latents is not None else _stored_latents(state, level)
+        pstar, m = state.ppi_pairs[level][:-1], state.zloc_pairs[level][:-1]
+        ez, ez2 = state.ez_pairs[level][:-1], state.ez2_pairs[level][:-1]
+        if tails is None:
+            level_tails = _probit_tails(m)
+        else:
+            level_tails = tuple(tail[:-1] for tail in tails[level])
 
         if logdets is None:
             # Cholesky, not the sign of a determinant: an even number of
@@ -1152,7 +1265,6 @@ def _elbo_terms(
         terms[f"gaussian_loglik[{level}]"] = 0.5 * n * logdet \
             - 0.5 * float(np.vdot(scatters[level], omega)) - 0.5 * n * p * _LOG_2PI
 
-        pstar, _, ez, ez2, _ = level_latents
         qstar = 1.0 - pstar
         om_sq = omega.take(upper)
         om_sq *= om_sq
@@ -1171,7 +1283,7 @@ def _elbo_terms(
         (
             terms[f"latent_entropy[{level}]"],
             terms[f"indicator_entropy[{level}]"],
-        ) = _latent_entropies(level_latents, qstar)
+        ) = _latent_entropies(pstar, m, level_tails, qstar)
 
     z_dev = zm - hyper.n0
     terms["zeta_prior"] = -0.5 * m_edges * math.log(2.0 * math.pi * hyper.t0_sq) \
@@ -1248,21 +1360,25 @@ def fit(
     by a constant; reported intercepts refer to the mean level.
 
     ``callback(iteration, state, elbo)`` runs after every full iteration.
-    ``start`` maps every level to its ``ridge_start(scatter, n, nu1,
-    lambda_diag)`` precision matrix, computed by the caller, so that fits
-    differing only in the spike can share it; the arrays are copied, never
-    written.  Keys other than exactly the data's levels, a start that is not
-    p x p, or one that is not positive definite raise ``DataError``.
-    Without it each level's ridge start is computed here.  Raises a numerical error naming the first non-finite
-    ELBO term if the objective degenerates.
+    ``start`` maps every level to its precision matrix start, computed by
+    the caller (as ``line_search_nu0`` does), so that fits differing only in
+    the spike can share it; the arrays are copied, never written.  Keys
+    other than exactly the data's levels, a start that is not p x p, or one
+    that is not positive definite raise ``DataError``.  Without it each
+    level's start is computed here.  Raises a numerical error naming the
+    first non-finite ELBO term if the objective degenerates.
 
     Initialisation runs in three deterministic stages before the first
-    recorded iteration.  First, each precision matrix is set to its
-    all-slab ridge estimate (``ridge_start``), with every edge at the slab
-    precision ``d = 1/nu1^2``: from the identity the first edge-latent
-    update would see omega = 0, assign every edge to the spike, and the
-    ascent would settle in the empty-graph stationary point regardless of
-    nu0.  Second, the latent and probit factors are pre-equilibrated by a
+    recorded iteration.  First, each precision matrix is set to its ridge
+    estimate (``ridge_start``), with every edge at one slab precision: from
+    the identity the first edge-latent update would see omega = 0, assign
+    every edge to the spike, and the ascent would settle in the empty-graph
+    stationary point regardless of nu0.  A level with at least as many
+    samples as variables (n >= p) starts from the all-slab estimate, ``d =
+    1/nu1^2``.  A level with n < p starts from the estimate at slab sd
+    nu1/10 (``_start_slab``), since the all-slab one overfits there: every
+    off-diagonal entry lands above the spike scale and the anneal keeps
+    every edge.  Second, the latent and probit factors are pre-equilibrated by a
     few coordinate passes holding the precision matrices fixed, so the
     edge-level intercepts already pool evidence across levels.  Third, the spike is tightened along a short
     geometric path from a deliberately permissive value (nu0/4, where the
@@ -1290,10 +1406,9 @@ def fit(
     factor is carried: the line search's factorisation of the accepted
     matrix gives the ELBO its log-determinant and starts the next step, so
     each precision iterate is factored once; a given start's check supplies
-    the first factor.  Likewise the ELBO takes what the pass's edge-latent
-    update left on the upper triangle (p*, E[z], E[z^2], the truncation
-    location it stored and that location's probit tails) instead of reading
-    it back from the state's matrices.
+    the first factor.  The factor updates and the ELBO work on the state's
+    pair vectors, and the ELBO takes the probit tails of each truncation
+    location that the pass's edge-latent update computed.
     """
     if controls is None:
         controls = FitControls()
@@ -1312,13 +1427,17 @@ def fit(
     raw = np.array(levels, dtype=float)
     state.probit_levels = raw - raw.mean() if covariate_model else np.zeros_like(raw)
 
-    # Each level's Cholesky factor of state.omega, once known; ``latents``
-    # holds what the last edge-latent update of each level left for the ELBO.
+    # Each level's Cholesky factor of state.omega, once known; ``tails``
+    # holds the probit tails that the last edge-latent update of each level
+    # left for the ELBO.
     factors: dict[int, np.ndarray | None] = {a: None for a in levels}
-    latents: dict[int, _LevelLatents] = {}
+    tails: dict[int, tuple] = {}
     if start is None:
         start = {
-            a: ridge_start(scatters[a], ns[a], hyper.nu1, hyper.lambda_diag) for a in levels
+            a: ridge_start(
+                scatters[a], ns[a], _start_slab(ns[a], data.p, hyper.nu1), hyper.lambda_diag
+            )
+            for a in levels
         }
     else:
         if set(start) != set(levels):
@@ -1351,14 +1470,14 @@ def fit(
         # The factor updates go through their module names so that they can
         # be wrapped from outside (the benchmark's tracer counts them).
         for a in levels:
-            update_edge_latents(state, at, a, latents)
+            update_edge_latents(state, at, a, tails)
         update_zeta(state, at)
         if covariate_model:
             update_beta(state, at)
             update_sigma(state, at)
         if update_precision:
             for a in levels:
-                d = _expected_prior_precision(state.ppi[a], at.nu0_for(a), at.nu1)
+                d = _prior_precisions(state, at, a)
                 state.omega[a], factors[a] = _newton_step(
                     state.omega[a], scatters[a], ns[a], d, at.lambda_diag, factors[a]
                 )
@@ -1375,7 +1494,7 @@ def fit(
     for iteration in range(1, controls.max_iter + 1):
         coordinate_pass(hyper)
         logdets = {a: _logdet(factors[a]) for a in levels}
-        terms = _elbo_terms(state, hyper, scatters, ns, covariate_model, logdets, latents)
+        terms = _elbo_terms(state, hyper, scatters, ns, covariate_model, logdets, tails)
         elbo = float(sum(terms.values()))
         if not math.isfinite(elbo):
             bad = next(name for name, v in terms.items() if not math.isfinite(v))

@@ -4,8 +4,10 @@ The spike standard deviation controls how aggressively small precision
 entries are shrunk to zero.  It is chosen per level by fitting the
 single-network baseline over a grid of candidates and keeping the value whose
 sparsified estimate minimises the extended BIC.  Every fit of a level starts
-from the same all-slab ridge estimate, which does not depend on the spike, so
-it is computed once per level and shared by the level's grid points.
+from the same ridge estimate, the one ``engine.fit`` would compute (with the
+slab narrowed on a level with fewer samples than variables), which does not
+depend on the spike, so it is computed once per level and shared by the
+level's grid points.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .baseline import SslFit, fit_ssl
 from .core import DataError, GroupedDataset, NumericalError, parallel_map, sample_covariance
 from .engine import FitControls, Hyperparameters, intercept_prior
-from .engine import _logdet, _triangle, refit_precision, ridge_start
+from .engine import _logdet, _start_slab, _triangle, refit_precision, ridge_start
 
 _EDGE_EPS = 1e-8
 # Candidates in the default grid.
@@ -198,8 +200,9 @@ def line_search_nu0(
 
     def level_task(level: int) -> tuple:
         y = data.group(level)
+        slab = _start_slab(y.shape[0], data.p, nu1)
         try:
-            start, failure = ridge_start(sample_covariance(y), y.shape[0], nu1, lambda_diag), ""
+            start, failure = ridge_start(sample_covariance(y), y.shape[0], slab, lambda_diag), ""
         except (DataError, NumericalError) as exc:
             start, failure = None, str(exc)
         return (y, start, failure, config, nu1, lambda_diag, n0, t0_sq, controls)

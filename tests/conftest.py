@@ -53,5 +53,17 @@ def small_experiment():
     return dataset.prepare(), truth
 
 
+def with_pair(matrix, pair, value) -> np.ndarray:
+    """A copy of ``matrix`` with ``value`` at ``pair`` and at its mirror.
+
+    A state's per-edge fields read as read-only matrices, so a test sets an
+    edge by assigning the whole matrix: ``state.ez[a] = with_pair(state.ez[a],
+    (0, 1), 0.5)``.
+    """
+    out = np.array(matrix, dtype=float)
+    out[pair] = out[pair[::-1]] = value
+    return out
+
+
 def grouped_from_arrays(levels, arrays) -> GroupedDataset:
     return GroupedDataset(levels=tuple(levels), data=tuple(arrays)).prepare()

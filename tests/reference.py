@@ -1,5 +1,5 @@
-"""Reference implementations for the tests: the column-wise CM sweep and
-the ELBO's term-by-term formulas.
+"""Reference implementations for the tests: the column-wise CM sweep, the
+full-matrix factor updates and the ELBO's term-by-term formulas.
 
 ``fit`` raises each precision matrix by one Newton-CG step
 (``ordnet.engine._newton_step``).  The sweep below maximises the same
@@ -10,6 +10,13 @@ must reach.  It costs O(p^4) per sweep and lives here, not in the package.
 
 ``logdet`` is the log-determinant from a Cholesky factor in its textbook
 form, the reference that ``ordnet.engine._logdet`` must equal bit for bit.
+
+``edge_latents``, ``zeta_update``, ``beta_update`` and ``sigma_update`` are
+the four factor updates on full p x p matrices, as they ran before the
+state stored its per-edge fields as pair vectors.  They read the state's
+matrices and return matrices without writing the state;
+``ordnet.engine``'s updates, which work on the pairs, must equal them bit
+for bit, diagonals included.
 
 The ELBO terms below (``elbo_terms``, ``latent_entropies``) sum each term
 entry by entry over the upper triangle.  ``ordnet.engine._elbo_terms``
@@ -33,12 +40,15 @@ from ordnet import NumericalError
 from ordnet.engine import (
     _LOG_2PI,
     _POTRF,
+    _beta_update_core,
+    _edge_latent_core,
     _expected_prior_precision,
     _inverse_from_factor,
     _logdet,
-    _stored_latents,
+    _probit_tails,
     _triangle,
     _xlogx,
+    _zeta_update_core,
 )
 
 
@@ -113,7 +123,84 @@ def logdet(factor: np.ndarray) -> float:
     return 2 * np.sum(np.log(np.diag(factor)))
 
 
-def latent_entropies(latents) -> tuple[float, float]:
+def two_scatter_symmetric(values: np.ndarray, p: int, diagonal: float) -> np.ndarray:
+    """The symmetric p x p matrix with ``values`` on both triangles, in
+    ``np.triu_indices`` order, and ``diagonal`` on the diagonal: a filled
+    matrix and two fancy-index scatters through the triangle's flat
+    indices."""
+    upper, lower, _ = _triangle(p)
+    out = np.full((p, p), diagonal)
+    flat = out.reshape(-1)
+    flat[upper] = values
+    flat[lower] = values
+    return out
+
+
+def edge_latents(state, hyper, level):
+    """The edge-latent update of a level on full matrices: p*, E[z] and
+    E[z^2] with diagonals 0, 0 and 1, and the truncation location, the
+    full probit index E[zeta] + a E[beta]."""
+    level = int(level)
+    p = state.p
+    upper = _triangle(p)[0]
+    m = np.multiply(state.beta_mean, state.probit_level(level))
+    m += state.zeta_mean
+    m_upper = m.take(upper)
+    pstar, ez, ez2 = _edge_latent_core(
+        state.omega[level].take(upper), m_upper, _probit_tails(m_upper),
+        hyper.nu0_for(level), hyper.nu1,
+    )
+    return (
+        two_scatter_symmetric(pstar, p, 0.0),
+        two_scatter_symmetric(ez, p, 0.0),
+        two_scatter_symmetric(ez2, p, 1.0),
+        m,
+    )
+
+
+def zeta_update(state, hyper, edge=None):
+    """The intercept update on full matrices, or at one edge: ``(mean,
+    variance)``, matrices or ``(float, float)``."""
+    a_vals = state.probit_levels
+    if edge is not None:
+        i, j = edge
+        ez = [state.ez[a][i, j] for a in state.levels]
+        mean, var = _zeta_update_core(ez, state.beta_mean[i, j], a_vals, hyper.n0, hyper.t0_sq)
+        return float(mean), var
+    ez_stack = [state.ez[a] for a in state.levels]
+    mean, var = _zeta_update_core(ez_stack, state.beta_mean, a_vals, hyper.n0, hyper.t0_sq)
+    return mean, np.full_like(mean, var)
+
+
+def beta_update(state, hyper, edge=None):
+    """The coefficient update on full matrices, or at one edge, as
+    ``zeta_update``."""
+    e_prec = state.sigma_shape / state.sigma_rate
+    a_vals = state.probit_levels
+    if edge is not None:
+        i, j = edge
+        ez = [state.ez[a][i, j] for a in state.levels]
+        mean, var = _beta_update_core(ez, state.zeta_mean[i, j], a_vals, e_prec)
+        return float(mean), var
+    ez_stack = [state.ez[a] for a in state.levels]
+    mean, var = _beta_update_core(ez_stack, state.zeta_mean, a_vals, e_prec)
+    return mean, np.full_like(mean, var)
+
+
+def sigma_update(state, hyper) -> tuple[float, float]:
+    """The coefficient-scale update, from the upper triangles of the full
+    matrices."""
+    p = state.p
+    upper = _triangle(p)[0]
+    m_edges = p * (p - 1) / 2.0
+    shape = hyper.alpha_sigma + m_edges / 2.0
+    rate = hyper.beta_sigma + 0.5 * float(
+        (state.beta_mean.take(upper) ** 2 + state.beta_var.take(upper)).sum()
+    )
+    return shape, rate
+
+
+def latent_entropies(pstar, m, tails) -> tuple[float, float]:
     """One level's latent-threshold and indicator entropies.
 
     The latent factor is a mixture of N(m, 1) truncated above zero (weight
@@ -123,7 +210,7 @@ def latent_entropies(latents) -> tuple[float, float]:
     -sum p* log p* + (1 - p*) log(1 - p*), each product exactly 0 where its
     probability is 0 (``_xlogx``).
     """
-    pstar, m, _, _, (h_pos, h_neg, log_pos, log_neg) = latents
+    h_pos, h_neg, log_pos, log_neg = tails
     qstar = 1.0 - pstar
     e_logq_above = -0.5 * _LOG_2PI - 0.5 * (1.0 - m * h_pos) - log_pos
     e_logq_below = -0.5 * _LOG_2PI - 0.5 * (1.0 + m * h_neg) - log_neg
@@ -139,7 +226,7 @@ def elbo_terms(
     ns: Mapping[int, int],
     covariate_model: bool,
     logdets: Mapping[int, float] | None = None,
-    latents=None,
+    tails=None,
 ) -> dict[str, float]:
     """All named ELBO contributions; their sum is the ELBO.
 
@@ -149,10 +236,10 @@ def elbo_terms(
     edge indicators come from ``_latent_entropies``.  By default every term
     is computed from the state alone.  ``fit`` passes what it already holds
     for the same state: each level's log det(omega) from the Cholesky factor
-    its Newton step accepted, and the ``_LevelLatents`` that
-    ``update_edge_latents`` left (p*, the truncation location, E[z], E[z^2]
-    and the location's probit tails); both are then the values this
-    function would read or compute.
+    its Newton step accepted, and the probit tails of each level's
+    truncation location that ``update_edge_latents`` left in ``tails``
+    (with the diagonal slot last); both are then the values this function
+    would compute.
     """
     p = state.p
     upper = _triangle(p)[0]
@@ -168,7 +255,12 @@ def elbo_terms(
         n = ns[level]
         nu0 = hyper.nu0_for(level)
         a_val = state.probit_level(level)
-        level_latents = latents[level] if latents is not None else _stored_latents(state, level)
+        pstar, m = state.ppi[level].take(upper), state.zloc[level].take(upper)
+        ez, ez2 = state.ez[level].take(upper), state.ez2[level].take(upper)
+        if tails is None:
+            level_tails = _probit_tails(m)
+        else:
+            level_tails = tuple(tail[:-1] for tail in tails[level])
 
         if logdets is None:
             # Cholesky, not the sign of a determinant: an even number of
@@ -180,7 +272,6 @@ def elbo_terms(
         terms[f"gaussian_loglik[{level}]"] = 0.5 * n * logdet \
             - 0.5 * float(np.sum(scatter * omega)) - 0.5 * n * p * _LOG_2PI
 
-        pstar, _, ez, ez2, _ = level_latents
         om = omega.take(upper)
         d = _expected_prior_precision(pstar, nu0, hyper.nu1)
         terms[f"edge_prior[{level}]"] = float(
@@ -200,7 +291,7 @@ def elbo_terms(
         (
             terms[f"latent_entropy[{level}]"],
             terms[f"indicator_entropy[{level}]"],
-        ) = latent_entropies(level_latents)
+        ) = latent_entropies(pstar, m, level_tails)
 
     terms["zeta_prior"] = float(
         np.sum(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from conftest import record_criterion
+from conftest import record_criterion, with_pair
 from ordnet import (
     GroupedDataset,
     Hyperparameters,
@@ -329,9 +329,9 @@ def test_single_update_formula_oracles(rng):
     ).prepare()
     hyper = Hyperparameters(nu0={a: 0.05 for a in levels}, n0=-1.0, t0_sq=1.0)
     state = init_state(data, hyper)
-    state.ez[1][0, 1] = state.ez[1][1, 0] = 0.5
-    state.ez[2][0, 1] = state.ez[2][1, 0] = 0.7
-    state.beta_mean[:] = 0.1
+    state.ez[1] = with_pair(state.ez[1], (0, 1), 0.5)
+    state.ez[2] = with_pair(state.ez[2], (0, 1), 0.7)
+    state.beta_mean = np.full_like(state.beta_mean, 0.1)
     mean, var = update_zeta(state, hyper, edge=(0, 1))
     check("update_zeta mean", abs(mean - (-1.0 + 0.4 + 0.5) / 3.0), 1e-12)
     check("update_zeta var", abs(var - 1.0 / 3.0), 1e-12)
@@ -340,14 +340,14 @@ def test_single_update_formula_oracles(rng):
     hyper1 = Hyperparameters(nu0={1: 0.05})
     state1 = init_state(single, hyper1)
     state1.sigma_shape = state1.sigma_rate = 3.0
-    state1.zeta_mean[:] = 0.0
-    state1.ez[1][0, 1] = state1.ez[1][1, 0] = 0.4
+    state1.zeta_mean = np.zeros_like(state1.zeta_mean)
+    state1.ez[1] = with_pair(state1.ez[1], (0, 1), 0.4)
     bmean, bvar = update_beta(state1, hyper1, edge=(0, 1))
     check("update_beta mean", abs(bmean - 0.2), 1e-12)
     check("update_beta var", abs(bvar - 0.5), 1e-12)
 
-    state.beta_mean[:] = 1.0
-    state.beta_var[:] = 1.0
+    state.beta_mean = np.ones_like(state.beta_mean)
+    state.beta_var = np.ones_like(state.beta_var)
     shape, rate = update_sigma(state, hyper)
     check("update_sigma shape", abs(shape - 2.5), 1e-12)
     check("update_sigma rate", abs(rate - 3.0), 1e-12)
