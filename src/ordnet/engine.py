@@ -36,15 +36,15 @@ then the ELBO is evaluated.
 
 Every per-edge factor is stored on its pairs: ``VariationalState`` holds
 p*, E[z], E[z^2] and the truncation location of each level, and E[zeta],
-var(zeta), E[beta] and var(beta), each as one vector of the M = p(p-1)/2
-pairs of the strict upper triangle (``_triangle`` order) followed by one
-diagonal slot.  The updates and the ELBO work on these vectors; the
+var(zeta), E[beta] and var(beta), each as one vector of exactly the M =
+p(p-1)/2 pairs of the strict upper triangle (``_triangle`` order), the
+edges the model has.  The updates and the ELBO work on these vectors; the
 Newton step's expected prior precisions become a p x p matrix by one
 ``take`` through the cached pair map.  Read through ``state.ppi[level]``,
 ``state.zeta_mean`` and the like, each field is the exactly symmetric p x p
-matrix, read-only, with the slot on its diagonal; assigning a p x p matrix
-stores its upper triangle and its first diagonal entry.  Only the precision
-matrices (``omega``) are stored as p x p matrices.
+matrix, read-only, with a zero diagonal; assigning a p x p matrix stores
+its strict upper triangle.  Only the precision matrices (``omega``) are
+stored as p x p matrices.
 """
 
 from __future__ import annotations
@@ -291,23 +291,23 @@ class _LevelMatrices(Mapping):
 class VariationalState:
     """All variational factor parameters plus per-level precision estimates.
 
-    Each per-edge field is one vector of M + 1 entries (``*_pairs``): the M
-    = p(p-1)/2 pairs in ``_triangle`` order, then one slot that reads as
-    the whole diagonal, which the model never uses.  ``ppi``, ``ez``,
-    ``ez2`` and ``zloc`` map each level to such a vector; ``zeta_mean``,
-    ``zeta_var``, ``beta_mean`` and ``beta_var`` are one each.  Read
-    through their names (``state.ppi[level]``, ``state.zeta_mean``), the
-    fields are exactly symmetric p x p matrices, built on each read and
+    Each per-edge field is one vector of the M = p(p-1)/2 pairs in
+    ``_triangle`` order (``*_pairs``): the edges i < j, the only ones the
+    model has.  ``ppi``, ``ez``, ``ez2`` and ``zloc`` map each level to
+    such a vector; ``zeta_mean``, ``zeta_var``, ``beta_mean`` and
+    ``beta_var`` are one each.  Read through their names
+    (``state.ppi[level]``, ``state.zeta_mean``), the fields are exactly
+    symmetric p x p matrices with a zero diagonal, built on each read and
     read-only, so that a write into one raises instead of being lost;
     assigning a p x p matrix (or, for a per-level field, a level-keyed
     mapping of them, or one matrix under a level) stores its strict upper
-    triangle and its first diagonal entry.  ``omega`` maps each level to its
-    p x p precision matrix.  ``probit_levels`` holds the covariate values
-    used in the probit index, aligned with ``levels`` (``fit`` stores
-    mean-centered values there so that results are invariant to shifting
-    all levels by a constant).  ``zloc`` records the truncation location
-    that defines the current latent-threshold factor; the ELBO must
-    evaluate that factor's moments at this stored location.
+    triangle.  ``omega`` maps each level to its p x p precision matrix.
+    ``probit_levels`` holds the covariate values used in the probit index,
+    aligned with ``levels`` (``fit`` stores mean-centered values there so
+    that results are invariant to shifting all levels by a constant).
+    ``zloc`` records the truncation location that defines the current
+    latent-threshold factor; the ELBO must evaluate that factor's moments at
+    this stored location.
     """
 
     levels: tuple[int, ...]
@@ -335,8 +335,8 @@ class VariationalState:
 
     @property
     def p(self) -> int:
-        # M + 1 = p(p-1)/2 + 1 entries per field.
-        return (1 + math.isqrt(8 * self.zeta_mean_pairs.size - 7)) // 2
+        # M = p(p-1)/2 entries per field.
+        return (1 + math.isqrt(8 * self.zeta_mean_pairs.size + 1)) // 2
 
     def probit_level(self, level: int) -> float:
         return float(self.probit_levels[self.levels.index(int(level))])
@@ -362,13 +362,10 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState
     """Standard starting point: identity precisions, inclusion probability 0.5.
 
     ``probit_levels`` starts at the raw level values; ``fit`` replaces them
-    with mean-centered copies before iterating.  Read as matrices, p*
-    and E[z^2] have zero diagonals.
+    with mean-centered copies before iterating.
     """
     p = data.p
-    slots = p * (p - 1) // 2 + 1
-    off = np.ones(slots)
-    off[-1] = 0.0
+    pairs = p * (p - 1) // 2
     if hyper.alpha_sigma > 1.0:
         beta_var0 = hyper.beta_sigma / (hyper.alpha_sigma - 1.0)
     else:
@@ -377,14 +374,14 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters) -> VariationalState
         levels=data.levels,
         probit_levels=np.array(data.levels, dtype=float),
         omega={a: np.eye(p) for a in data.levels},
-        ppi_pairs={a: 0.5 * off for a in data.levels},
-        ez_pairs={a: np.zeros(slots) for a in data.levels},
-        ez2_pairs={a: off.copy() for a in data.levels},
-        zloc_pairs={a: np.zeros(slots) for a in data.levels},
-        zeta_mean_pairs=np.full(slots, hyper.n0),
-        zeta_var_pairs=np.full(slots, hyper.t0_sq),
-        beta_mean_pairs=np.zeros(slots),
-        beta_var_pairs=np.full(slots, beta_var0),
+        ppi_pairs={a: np.full(pairs, 0.5) for a in data.levels},
+        ez_pairs={a: np.zeros(pairs) for a in data.levels},
+        ez2_pairs={a: np.ones(pairs) for a in data.levels},
+        zloc_pairs={a: np.zeros(pairs) for a in data.levels},
+        zeta_mean_pairs=np.full(pairs, hyper.n0),
+        zeta_var_pairs=np.full(pairs, hyper.t0_sq),
+        beta_mean_pairs=np.zeros(pairs),
+        beta_var_pairs=np.full(pairs, beta_var0),
         sigma_shape=hyper.alpha_sigma,
         sigma_rate=hyper.beta_sigma,
     )
@@ -395,8 +392,8 @@ def _triangle(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices of the strict upper triangle of a p x p matrix and of
     its mirror image, in ``np.triu_indices`` order, and the p x p pair map:
     entry (i, j) holds the position of pair (min(i, j), max(i, j)) in that
-    order, and the diagonal holds M = p(p-1)/2.  Read-only, since every
-    caller with the same p shares them."""
+    order, and the diagonal holds M = p(p-1)/2, one past the last pair.
+    Read-only, since every caller with the same p shares them."""
     rows, cols = np.triu_indices(p, 1)
     upper, lower = rows * p + cols, cols * p + rows
     pairs = np.full(p * p, len(upper), dtype=np.intp)
@@ -407,33 +404,41 @@ def _triangle(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upper, lower, pairs
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_slots(p: int) -> np.ndarray:
-    """Flat indices of the entries of a p x p matrix that its pair vector
-    holds: the strict upper triangle in ``_triangle`` order, then the first
-    diagonal entry.  Read-only, like ``_triangle``'s."""
-    slots = np.append(_triangle(p)[0], 0)
-    slots.setflags(write=False)
-    return slots
+_ZERO = np.zeros(1)
 
 
 def _symmetric(pairs: np.ndarray, p: int) -> np.ndarray:
     """The exactly symmetric p x p matrix of a pair vector (the M pairs in
-    ``_triangle`` order, then the diagonal's value): one ``take`` through
-    the pair map.  Read-only, since a write into it could not reach the
-    pairs."""
-    matrix = pairs.take(_triangle(p)[2])
+    ``_triangle`` order) with a zero diagonal: one ``take`` through the pair
+    map of the pairs with a zero appended, which the map's diagonal entry M
+    reads.  Read-only, since a write into it could not reach the pairs."""
+    matrix = np.concatenate((pairs, _ZERO)).take(_triangle(p)[2])
     matrix.setflags(write=False)
     return matrix
 
 
 def _pairs_of(matrix: np.ndarray, p: int) -> np.ndarray:
     """The pair vector of a p x p matrix: its strict upper triangle in
-    ``_triangle`` order, then its first diagonal entry."""
+    ``_triangle`` order."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (p, p):
         raise ValueError(f"expected a {p} x {p} matrix, got shape {matrix.shape}")
-    return matrix.take(_pair_slots(p))
+    return matrix.take(_triangle(p)[0])
+
+
+def _pair_index(p: int, edge: tuple[int, int]) -> int:
+    """The position of edge (i, j), in either order, in the pair vectors.
+
+    The model has a factor only for pairs of distinct nodes, so a diagonal
+    pair (i, i) or a node outside 0..p-1 raises ``ValueError``.
+    """
+    i, j = (int(node) for node in edge)
+    if i == j or not (0 <= i < p and 0 <= j < p):
+        raise ValueError(
+            f"edge {(i, j)} is not a pair of distinct nodes in 0..{p - 1}: "
+            f"the model has no diagonal factor"
+        )
+    return int(_triangle(p)[2][i, j])
 
 
 def _probit_tails(
@@ -545,8 +550,7 @@ def update_edge_latents(
 
     Works on the level's pair vectors: reads the precision matrix on the
     upper triangle and the probit index E[zeta] + a E[beta] on the pairs,
-    and stores new vectors whose diagonal slots hold 0, 0 and 1.  Also
-    stores the probit index, diagonal slot included, as the level's new
+    and stores new vectors.  Also stores the probit index as the level's new
     truncation location.  Given a dict ``tails``, also stores there, under
     the level, the location's ``_probit_tails``, which ``_elbo_terms`` can
     take instead of computing them again.  Returns the new ``(ppi, ez,
@@ -556,14 +560,10 @@ def update_edge_latents(
     m = np.multiply(state.beta_mean_pairs, state.probit_level(level))
     m += state.zeta_mean_pairs
     level_tails = _probit_tails(m)
-    # The diagonal slot runs through the core on omega's first diagonal
-    # entry, and its results are then set to the diagonal's conventions.
     pstar, ez, ez2 = _edge_latent_core(
-        state.omega[level].take(_pair_slots(state.p)), m, level_tails,
+        state.omega[level].take(_triangle(state.p)[0]), m, level_tails,
         hyper.nu0_for(level), hyper.nu1,
     )
-    pstar[-1] = ez[-1] = 0.0
-    ez2[-1] = 1.0
     if tails is not None:
         tails[level] = level_tails
     state.ppi_pairs[level] = pstar
@@ -592,17 +592,18 @@ def update_zeta(
 ):
     """Optimal Gaussian factor for the probit intercepts.
 
-    With ``edge=(i, j)`` returns that edge's updated ``(mean, variance)``
-    without touching the state; with ``edge=None`` applies the update to
-    every pair and the diagonal slot in place and returns the new ``(mean,
-    variance)`` pair vectors.
+    With ``edge=(i, j)``, i != j, returns that edge's updated ``(mean,
+    variance)`` without touching the state (a diagonal pair or a node
+    outside 0..p-1 raises ``ValueError``); with ``edge=None`` applies the
+    update to every pair in place and returns the new ``(mean, variance)``
+    pair vectors.
     """
     a_vals = state.probit_levels
     if edge is not None:
-        slot = _triangle(state.p)[2][edge]
-        ez = [state.ez_pairs[a][slot] for a in state.levels]
+        pair = _pair_index(state.p, edge)
+        ez = [state.ez_pairs[a][pair] for a in state.levels]
         mean, var = _zeta_update_core(
-            ez, state.beta_mean_pairs[slot], a_vals, hyper.n0, hyper.t0_sq
+            ez, state.beta_mean_pairs[pair], a_vals, hyper.n0, hyper.t0_sq
         )
         return float(mean), var
     ez_stack = [state.ez_pairs[a] for a in state.levels]
@@ -635,9 +636,9 @@ def update_beta(
     e_prec = state.sigma_shape / state.sigma_rate
     a_vals = state.probit_levels
     if edge is not None:
-        slot = _triangle(state.p)[2][edge]
-        ez = [state.ez_pairs[a][slot] for a in state.levels]
-        mean, var = _beta_update_core(ez, state.zeta_mean_pairs[slot], a_vals, e_prec)
+        pair = _pair_index(state.p, edge)
+        ez = [state.ez_pairs[a][pair] for a in state.levels]
+        mean, var = _beta_update_core(ez, state.zeta_mean_pairs[pair], a_vals, e_prec)
         return float(mean), var
     ez_stack = [state.ez_pairs[a] for a in state.levels]
     mean, var = _beta_update_core(ez_stack, state.zeta_mean_pairs, a_vals, e_prec)
@@ -651,8 +652,8 @@ def update_sigma(state: VariationalState, hyper: Hyperparameters) -> tuple[float
     p = state.p
     m_edges = p * (p - 1) / 2.0
     shape = hyper.alpha_sigma + m_edges / 2.0
-    bm = state.beta_mean_pairs[:-1]
-    rate = hyper.beta_sigma + 0.5 * float((bm ** 2 + state.beta_var_pairs[:-1]).sum())
+    bm = state.beta_mean_pairs
+    rate = hyper.beta_sigma + 0.5 * float((bm ** 2 + state.beta_var_pairs).sum())
     state.sigma_shape = shape
     state.sigma_rate = rate
     return shape, rate
@@ -1212,9 +1213,9 @@ def _elbo_terms(
 
     No parameter-dependent term is dropped and constants are kept, so traces
     are comparable across iterations of one fit.  Every edge term is read on
-    the M = p(p-1)/2 pairs of the state's vectors (their diagonal slots left
-    out), as sums and inner products rather than a sum of entrywise terms,
-    with q* = 1 - p* formed once per level:
+    the state's vectors of the M = p(p-1)/2 pairs, as sums and inner
+    products rather than a sum of entrywise terms, with q* = 1 - p* formed
+    once per level:
 
     - the edge prior is ``-M (log(2 pi)/2 + log nu0) - (log nu1 - log nu0)
       sum p* - (<omega^2, p*>/nu1^2 + <omega^2, q*>/nu0^2) / 2``;
@@ -1237,8 +1238,8 @@ def _elbo_terms(
     upper = _triangle(p)[0]
     m_edges = p * (p - 1) / 2.0
     log_nu1 = math.log(hyper.nu1)
-    zm, zv = state.zeta_mean_pairs[:-1], state.zeta_var_pairs[:-1]
-    bm, bv = state.beta_mean_pairs[:-1], state.beta_var_pairs[:-1]
+    zm, zv = state.zeta_mean_pairs, state.zeta_var_pairs
+    bm, bv = state.beta_mean_pairs, state.beta_var_pairs
     zv_sum, bv_sum = float(zv.sum()), float(bv.sum())
     terms: dict[str, float] = {}
 
@@ -1248,12 +1249,9 @@ def _elbo_terms(
         nu0 = hyper.nu0_for(level)
         log_nu0 = math.log(nu0)
         a_val = state.probit_level(level)
-        pstar, m = state.ppi_pairs[level][:-1], state.zloc_pairs[level][:-1]
-        ez, ez2 = state.ez_pairs[level][:-1], state.ez2_pairs[level][:-1]
-        if tails is None:
-            level_tails = _probit_tails(m)
-        else:
-            level_tails = tuple(tail[:-1] for tail in tails[level])
+        pstar, m = state.ppi_pairs[level], state.zloc_pairs[level]
+        ez, ez2 = state.ez_pairs[level], state.ez2_pairs[level]
+        level_tails = _probit_tails(m) if tails is None else tails[level]
 
         if logdets is None:
             # Cholesky, not the sign of a determinant: an even number of

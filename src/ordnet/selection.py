@@ -20,7 +20,7 @@ import numpy as np
 from .baseline import SslFit, fit_ssl
 from .core import DataError, GroupedDataset, NumericalError, parallel_map, sample_covariance
 from .engine import FitControls, Hyperparameters, intercept_prior
-from .engine import _logdet, _start_slab, _triangle, refit_precision, ridge_start
+from .engine import _logdet, _start_slab, _symmetric, refit_precision, ridge_start
 
 _EDGE_EPS = 1e-8
 # Candidates in the default grid.
@@ -129,13 +129,11 @@ def ebic_for_ssl_fit(
     """
     data = np.asarray(data, dtype=float)
     n, p = data.shape
-    selected = fit.ppi >= _EDGE_PPI
-    np.fill_diagonal(selected, False)
-    d = np.where(selected, 1.0 / (nu1 * nu1), 1.0 / (nu0 * nu0))
+    selected = fit.state.ppi_pairs[0] >= _EDGE_PPI
+    d = _symmetric(np.where(selected, 1.0 / (nu1 * nu1), 1.0 / (nu0 * nu0)), p)
     scatter = sample_covariance(data)
     refit = refit_precision(fit.omega, scatter, n, d, lambda_diag)
-    n_edges = int(np.count_nonzero(selected.take(_triangle(p)[0])))
-    return ebic(refit, data, gamma, n_edges=n_edges)
+    return ebic(refit, data, gamma, n_edges=int(np.count_nonzero(selected)))
 
 
 def _search_level(

@@ -16,7 +16,7 @@ the four factor updates on full p x p matrices, as they ran before the
 state stored its per-edge fields as pair vectors.  They read the state's
 matrices and return matrices without writing the state;
 ``ordnet.engine``'s updates, which work on the pairs, must equal them bit
-for bit, diagonals included.
+for bit off the diagonal, where the state's reads are exactly zero.
 
 The ELBO terms below (``elbo_terms``, ``latent_entropies``) sum each term
 entry by entry over the upper triangle.  ``ordnet.engine._elbo_terms``

@@ -21,6 +21,7 @@ from ordnet import (
     fit_ssl,
     line_search_nu0,
 )
+import ordnet
 from ordnet import cli
 from ordnet.cli import (
     ConfigError,
@@ -497,6 +498,34 @@ class TestSelectAndFitPipeline:
         assert doc["converged"] is True
         assert doc["variable_names"][0] == "var0001"
         assert len(doc["elbo_trace"]) == doc["iterations"]
+
+    def test_per_edge_fields_are_the_state_pairs_on_a_zero_diagonal(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        reports = []
+
+        def recording(*args, **kwargs):
+            reports.append(ordnet.fit(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "engine_fit", recording)
+        config = write_config(tmp_path / "fit.conf", "nu0 = 0.04")
+        fit_path = tmp_path / "fit.json"
+        assert main([
+            "fit", "--config", config,
+            "--manifest", str(sim_dir / "manifest.csv"), "--out", str(fit_path),
+        ]) == 0
+        doc = json.loads(fit_path.read_text())
+        state = reports[0].final_state
+        p = doc["p"]
+        upper = np.triu_indices(p, 1)
+        for name in ("zeta_mean", "beta_mean", "beta_var"):
+            matrix = np.array(doc[name])
+            pairs = getattr(state, f"{name}_pairs")
+            assert matrix.shape == (p, p)
+            assert np.diag(matrix).tobytes() == np.zeros(p).tobytes()
+            assert matrix[upper].tobytes() == pairs.tobytes()
+            assert matrix.T[upper].tobytes() == pairs.tobytes()
 
     def test_ssl_method_matches_direct_baseline(self, sim_dir, tmp_path):
         config = write_config(tmp_path / "fit.conf", "nu0 = 0.05", "method = ssl")

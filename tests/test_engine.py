@@ -169,14 +169,22 @@ class TestInitState:
         hyper = default_hyper((1, 2, 3), n0=-1.5, t0_sq=0.5)
         state = init_state(data, hyper)
         off = ~np.eye(4, dtype=bool)
+        zero_diagonal = np.zeros(4).tobytes()
         for a in (1, 2, 3):
+            assert state.ppi_pairs[a].shape == (6,)
             assert np.all(state.ppi[a][off] == 0.5)
+            assert np.all(state.ez2[a][off] == 1.0)
             assert np.array_equal(state.omega[a], np.eye(4))
             assert np.all(state.ez[a] == 0.0)
-        assert np.all(state.zeta_mean == -1.5)
-        assert np.all(state.zeta_var == 0.5)
+            for name in ("ppi", "ez", "ez2", "zloc"):
+                assert np.diag(getattr(state, name)[a]).tobytes() == zero_diagonal
+        assert np.all(state.zeta_mean[off] == -1.5)
+        assert np.all(state.zeta_var[off] == 0.5)
         assert np.all(state.beta_mean == 0.0)
-        assert np.all(state.beta_var == 2.0)
+        assert np.all(state.beta_var[off] == 2.0)
+        for name in ("zeta_mean", "zeta_var", "beta_mean", "beta_var"):
+            assert getattr(state, f"{name}_pairs").shape == (6,)
+            assert np.diag(getattr(state, name)).tobytes() == zero_diagonal
         assert state.sigma_shape == 2.0
         assert state.sigma_rate == 2.0
         assert np.array_equal(state.probit_levels, [1.0, 2.0, 3.0])
@@ -310,11 +318,11 @@ class TestUpdateEdgeLatents:
         data, hyper, state = one_level_state(rng)
         state.zeta_mean = np.full_like(state.zeta_mean, 0.4)
         update_edge_latents(state, hyper, 0)
-        ppi, ez, ez2 = state.ppi[0], state.ez[0], state.ez2[0]
-        assert np.all(np.diag(ppi) == 0.0)
-        assert np.all(np.diag(ez) == 0.0)
-        assert np.all(np.diag(ez2) == 1.0)
-        assert np.all(state.zloc[0] == 0.4)
+        # Every read has a zero diagonal: the model has no diagonal edge.
+        for matrix in (state.ppi[0], state.ez[0], state.ez2[0], state.zloc[0]):
+            assert np.diag(matrix).tobytes() == np.zeros(state.p).tobytes()
+        assert np.all(state.zloc_pairs[0] == 0.4)
+        assert np.all(state.zloc[0][~np.eye(state.p, dtype=bool)] == 0.4)
 
 
 def full_matrix_edge_latents(omega, m, nu0, nu1):
@@ -410,11 +418,13 @@ class TestUpperTriangleLayers:
             m = state.zeta_mean + state.probit_level(a) * state.beta_mean
             expected = full_matrix_edge_latents(state.omega[a], m, hyper.nu0_for(a), hyper.nu1)
             update_edge_latents(state, hyper, a)
-            got = state.ppi[a], state.ez[a], state.ez2[a]
-            for value, reference in zip(got, expected):
-                np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-12)
+            got = state.ppi[a], state.ez[a], state.ez2[a], state.zloc[a]
+            off = ~np.eye(p, dtype=bool)
+            for value, reference in zip(got, (*expected, m)):
+                np.testing.assert_allclose(value[off], reference[off], rtol=1e-12, atol=1e-12)
+                assert np.diag(value).tobytes() == np.zeros(p).tobytes()
                 assert np.array_equal(value, value.T)
-            assert np.array_equal(state.zloc[a], m)
+            assert np.array_equal(state.zloc[a][off], m[off])
 
     @pytest.mark.parametrize("p, far_index", CASES)
     def test_latent_elbo_terms_match_reference(self, rng, p, far_index):
@@ -563,10 +573,10 @@ class TestElboTerms:
 
 
 class TestPairLayout:
-    """The state stores each per-edge field as a pair vector and reads it as
-    a read-only p x p matrix.  The four factor updates work on the pairs and
-    must equal their full-matrix forms (``tests/reference.py``) bit for bit,
-    diagonals included."""
+    """The state stores each per-edge field as a vector of its M pairs and
+    reads it as a read-only p x p matrix with a zero diagonal.  The four
+    factor updates work on the pairs and must equal their full-matrix forms
+    (``tests/reference.py``) bit for bit off the diagonal."""
 
     PAIR_FIELDS = ("zeta_mean", "zeta_var", "beta_mean", "beta_var")
     LEVEL_FIELDS = ("ppi", "ez", "ez2", "zloc")
@@ -581,7 +591,7 @@ class TestPairLayout:
         state.sigma_shape, state.sigma_rate = 3.0, 2.0
 
         def symmetric(low, high):
-            # A random diagonal value: the slot must carry it through.
+            # A random diagonal value, which the pair vectors do not hold.
             x = np.triu(rng.uniform(low, high, (p, p)), 1)
             return x + x.T + rng.uniform(low, high) * np.eye(p)
 
@@ -596,9 +606,13 @@ class TestPairLayout:
         return hyper, state
 
     @staticmethod
-    def assert_same_bytes(got, expected):
+    def assert_pairs_match(got, expected):
+        """Bit-equal off the diagonal; the diagonal reads exactly +0.0."""
+        p = expected.shape[0]
+        off = ~np.eye(p, dtype=bool)
         assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        assert got[off].tobytes() == expected[off].tobytes()
+        assert np.diag(got).tobytes() == np.zeros(p).tobytes()
 
     @pytest.mark.parametrize("levels", [(1,), (1, 2, 3, 4)])
     @pytest.mark.parametrize("p", [2, 3, 7, 50])
@@ -610,7 +624,7 @@ class TestPairLayout:
                 update_edge_latents(state, hyper, a)
                 got = (state.ppi[a], state.ez[a], state.ez2[a], state.zloc[a])
                 for value, reference in zip(got, expected):
-                    self.assert_same_bytes(value, reference)
+                    self.assert_pairs_match(value, reference)
             for update, reference, fields in (
                 (update_zeta, zeta_update, ("zeta_mean", "zeta_var")),
                 (update_beta, beta_update, ("beta_mean", "beta_var")),
@@ -618,7 +632,7 @@ class TestPairLayout:
                 expected = reference(state, hyper)
                 update(state, hyper)
                 for name, matrix in zip(fields, expected):
-                    self.assert_same_bytes(getattr(state, name), matrix)
+                    self.assert_pairs_match(getattr(state, name), matrix)
             expected = sigma_update(state, hyper)
             assert update_sigma(state, hyper) == expected
             assert (state.sigma_shape, state.sigma_rate) == expected
@@ -632,11 +646,29 @@ class TestPairLayout:
         for i in range(p):
             for j in range(p):
                 for update, reference in ((update_zeta, zeta_update), (update_beta, beta_update)):
+                    if i == j:
+                        with pytest.raises(ValueError, match="no diagonal factor"):
+                            update(state, hyper, edge=(i, j))
+                        continue
                     got = update(state, hyper, edge=(i, j))
                     expected = reference(state, hyper, edge=(i, j))
                     assert type(got[0]) is float and got == expected
         for name, pairs in before.items():
             assert getattr(state, f"{name}_pairs").tobytes() == pairs.tobytes()
+
+    @pytest.mark.parametrize("edge", [(0, 0), (3, 3), (0, 4), (4, 1), (-1, 2), (1, -5)])
+    def test_edges_outside_the_model_raise(self, rng, edge):
+        # The pair map's diagonal entry M lies one past the last pair, and a
+        # negative node would wrap round to another pair: both are refused
+        # by name, and the state is left alone.
+        hyper, state = self.random_state(rng, 4, (1, 2))
+        before = state.copy()
+        for update in (update_zeta, update_beta):
+            with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+                update(state, hyper, edge=edge)
+        for name in self.PAIR_FIELDS:
+            pairs = getattr(state, f"{name}_pairs")
+            assert pairs.tobytes() == getattr(before, f"{name}_pairs").tobytes()
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_reads_are_exactly_symmetric_and_read_only(self, rng, p):
@@ -677,8 +709,8 @@ class TestPairLayout:
             else:
                 getattr(state, name)[2] = matrix
                 read, pairs = getattr(state, name)[2], getattr(state, f"{name}_pairs")[2]
-            assert read.tobytes() == matrix.tobytes()
-            assert pairs.tobytes() == np.append(matrix[upper], matrix[0, 0]).tobytes()
+            self.assert_pairs_match(read, matrix)
+            assert pairs.tobytes() == matrix[upper].tobytes()
             assert not np.shares_memory(pairs, matrix)
             assert matrix.tobytes() == given.tobytes()
         # A whole per-level mapping is stored level by level.
@@ -1863,8 +1895,9 @@ class TestFit:
             for a in (1, 2):
                 assert is_positive_definite(state.omega[a])
                 assert np.all((state.ppi[a] >= 0.0) & (state.ppi[a] <= 1.0))
-            assert np.all(state.zeta_var > 0.0)
-            assert np.all(state.beta_var > 0.0)
+            # Every variance the model has: one per pair.
+            assert np.all(state.zeta_var_pairs > 0.0)
+            assert np.all(state.beta_var_pairs > 0.0)
             assert state.sigma_shape > 0.0 and state.sigma_rate > 0.0
             assert math.isfinite(elbo)
 
