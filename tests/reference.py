@@ -237,9 +237,8 @@ def elbo_terms(
     is computed from the state alone.  ``fit`` passes what it already holds
     for the same state: each level's log det(omega) from the Cholesky factor
     its Newton step accepted, and the probit tails of each level's
-    truncation location that ``update_edge_latents`` left in ``tails``
-    (with the diagonal slot last); both are then the values this function
-    would compute.
+    truncation location that ``update_edge_latents`` left in ``tails``;
+    both are then the values this function would compute.
     """
     p = state.p
     upper = _triangle(p)[0]
@@ -257,10 +256,7 @@ def elbo_terms(
         a_val = state.probit_level(level)
         pstar, m = state.ppi[level].take(upper), state.zloc[level].take(upper)
         ez, ez2 = state.ez[level].take(upper), state.ez2[level].take(upper)
-        if tails is None:
-            level_tails = _probit_tails(m)
-        else:
-            level_tails = tuple(tail[:-1] for tail in tails[level])
+        level_tails = _probit_tails(m) if tails is None else tails[level]
 
         if logdets is None:
             # Cholesky, not the sign of a determinant: an even number of
