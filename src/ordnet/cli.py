@@ -226,9 +226,16 @@ def read_data_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         if name in seen:
             raise DataError(f"{path}: duplicate column name '{name}' in the header")
         seen.add(name)
+    # One cast of all tokens by float()'s rules; a file failing it is re-read by line.
+    body = [line.strip() for line in lines]
+    try:
+        data = np.array([line.split(",") for line in body if line], dtype=float)
+        if data.shape[1:] == (len(names),) and np.isfinite(data).all():
+            return names, data
+    except ValueError:
+        pass
     rows = []
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
+    for lineno, line in enumerate(body, start=2):
         if not line:
             continue
         parts = line.split(",")

@@ -10,17 +10,11 @@ themselves; those are point estimates, each raised once per iteration by a
 Newton-CG step whose line search accepts only a positive-definite matrix
 that raises the objective (``_newton_step``, O(p^3)).  Coordinate updates
 therefore never decrease the evidence lower bound (ELBO).  The step's CG
-solves the Newton system in single precision on a copy normalised to unit
-scale, each input rounded once and the Jacobi preconditioner formed in
-float32 from the rounded matrix, its vector updates and inner products as
-level-1 BLAS calls; its line search and every factorisation stay in double
-precision.  The edge-latent update runs on buffers of its own (``out=``
-ufunc calls), writing no input.
-The line search scores each trial by the objective's change, from inner
-products formed once per step, so a trial costs one Cholesky factorisation.
-The factor is carried: the line search's Cholesky factor of each accepted
-matrix gives the ELBO its log-determinant and starts the next step, so the
-precision path holds each matrix and its factor and nothing else.  Each matrix starts from
+runs in single precision on a copy normalised to unit scale; its line
+search and every factorisation stay in double precision, and the Cholesky
+factor of each accepted matrix gives the ELBO its log-determinant and
+starts the next step.  The edge-latent update runs on buffers of its own
+(``out=`` ufunc calls), writing no input.  Each matrix starts from
 the all-slab ridge estimate (``ridge_start``).  The step raises the
 precision objective without maximising it, a conditional step in the sense
 of generalised EM; ``cm_update_precision`` takes it on one level of a
@@ -34,17 +28,11 @@ Factors updated each iteration, in this fixed order:
   5. precision matrices (one Newton step, per level),
 then the ELBO is evaluated.
 
-Every per-edge factor is stored on its pairs: ``VariationalState`` holds
-p*, E[z], E[z^2] and the truncation location of each level, and E[zeta],
-var(zeta), E[beta] and var(beta), each as one vector of exactly the M =
-p(p-1)/2 pairs of the strict upper triangle (``_triangle`` order), the
-edges the model has.  The updates and the ELBO work on these vectors; the
+Every per-edge factor is stored as one vector of the M = p(p-1)/2 pairs
+i < j (``VariationalState``), on which the updates and the ELBO work; the
 Newton step's expected prior precisions become a p x p matrix by one
-``take`` through the cached pair map.  Read through ``state.ppi[level]``,
-``state.zeta_mean`` and the like, each field is the exactly symmetric p x p
-matrix, read-only, with a zero diagonal; assigning a p x p matrix stores
-its strict upper triangle.  Only the precision matrices (``omega``) are
-stored as p x p matrices.
+``take`` through the cached pair map.  Only the precision matrices
+(``omega``) are stored as p x p matrices.
 """
 
 from __future__ import annotations
@@ -75,6 +63,14 @@ _NU0_SLACK = 1.0 + 1e-9
 _QUAD_NODES = 80
 
 
+@functools.cache
+def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """``hermgauss(_QUAD_NODES)``, built on first use; read-only, as calls share it."""
+    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def edge_count_prior(
     p: int,
     expected_edges: float | None = None,
@@ -99,7 +95,7 @@ def edge_count_prior(
     if not 0.0 < s0 < math.inf:
         raise DataError("sd_edges must be positive and finite")
     n0 = float(special.ndtri(e0 / m_edges))
-    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
+    nodes, weights = _hermite_nodes()
 
     def edge_count_sd(t0_sq: float) -> float:
         zeta = n0 + _SQRT2 * math.sqrt(t0_sq) * nodes
@@ -109,9 +105,10 @@ def edge_count_prior(
         var = m_edges * (e1 - e2) + m_edges * m_edges * (e2 - e1 * e1)
         return math.sqrt(max(var, 0.0))
 
-    lo, hi = 1e-12, 1.0
-    if edge_count_sd(lo) >= s0:
+    # sd(K) rises with t0_sq, so the bisection would end at or below the floor.
+    if edge_count_sd(0.25) >= s0:
         return n0, 0.25
+    lo, hi = 1e-12, 1.0
     while (reached := edge_count_sd(hi)) < s0 and hi < 1e6:
         hi *= 4.0
     if reached < s0:
@@ -119,10 +116,9 @@ def edge_count_prior(
                         f"expected_edges = {e0:g}, got {s0:g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if edge_count_sd(mid) < s0:
-            lo = mid
-        else:
-            hi = mid
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if edge_count_sd(mid) < s0 else (lo, mid)
     return n0, max(0.5 * (lo + hi), 0.25)
 
 
@@ -515,24 +511,22 @@ def _edge_latent_core(
     ``omega`` has, and ``tails`` its ``_probit_tails``: hazards and
     log Phi(+-m) from one ``erfcx`` per entry.  Returns the inclusion
     probability p*, E[z] and E[z^2].  The slab/spike posterior odds are
-    formed in log space, so extreme density ratios cannot overflow.  E[z] =
-    m + p* h_pos - (1 - p*) h_neg, and since E[z^2] = 1 + m E[z] on each
-    side of zero, E[z^2] = 1 + m E[z].
+    formed in log space, so extreme density ratios cannot overflow: log nu0
+    - log nu1 + (1/(2 nu0^2) - 1/(2 nu1^2)) omega^2 + log Phi(m) - log
+    Phi(-m), in five passes and one ``expit``.  E[z] = m + p* h_pos - (1 -
+    p*) h_neg, and E[z^2] = 1 + m E[z], as on each side of zero.
     """
     h_pos, h_neg, log_pos, log_neg = tails
-    log_slab, log_spike, ez = (np.empty(m.shape) for _ in range(3))
-    np.multiply(omega, omega, out=log_slab)
-    np.divide(log_slab, 2.0 * nu0 * nu0, out=log_spike)
-    log_slab /= 2.0 * nu1 * nu1
-    np.subtract(-math.log(nu1), log_slab, out=log_slab)
-    log_slab += log_pos
-    np.subtract(-math.log(nu0), log_spike, out=log_spike)
-    log_spike += log_neg
-    log_slab -= log_spike
-    pstar = special.expit(log_slab, out=log_slab)
+    log_odds, share, ez = (np.empty(m.shape) for _ in range(3))
+    np.multiply(omega, omega, out=log_odds)
+    log_odds *= 0.5 / (nu0 * nu0) - 0.5 / (nu1 * nu1)
+    log_odds += math.log(nu0) - math.log(nu1)
+    log_odds += log_pos
+    log_odds -= log_neg
+    pstar = special.expit(log_odds, out=log_odds)
     np.multiply(pstar, h_pos, out=ez)
     np.add(m, ez, out=ez)
-    spike_share = np.subtract(1.0, pstar, out=log_spike)
+    spike_share = np.subtract(1.0, pstar, out=share)
     spike_share *= h_neg
     ez -= spike_share
     ez2 = np.multiply(m, ez)
@@ -609,7 +603,8 @@ def update_zeta(
     ez_stack = [state.ez_pairs[a] for a in state.levels]
     mean, var = _zeta_update_core(ez_stack, state.beta_mean_pairs, a_vals, hyper.n0, hyper.t0_sq)
     state.zeta_mean_pairs = mean
-    state.zeta_var_pairs = np.full(mean.shape, var)
+    state.zeta_var_pairs = np.empty(mean.shape)
+    state.zeta_var_pairs.fill(var)
     return mean, state.zeta_var_pairs
 
 
@@ -643,7 +638,8 @@ def update_beta(
     ez_stack = [state.ez_pairs[a] for a in state.levels]
     mean, var = _beta_update_core(ez_stack, state.zeta_mean_pairs, a_vals, e_prec)
     state.beta_mean_pairs = mean
-    state.beta_var_pairs = np.full(mean.shape, var)
+    state.beta_var_pairs = np.empty(mean.shape)
+    state.beta_var_pairs.fill(var)
     return mean, state.beta_var_pairs
 
 
@@ -749,7 +745,8 @@ def _newton_step(
     inexact anyway, and inexact-Newton theory (Dembo, Eisenstat & Steihaug,
     1982) ties its quality to that truncation, not to float64 rounding; the
     products cost half as much.  Its inputs are normalised, ``sqrt(n) W /
-    s``, ``D / s^2`` and ``G / g`` with ``s = max |sqrt(n) W|`` and ``g =
+    s``, ``D / s^2`` and ``G / g`` with ``s = sqrt(n) max_i W_ii`` (W is
+    positive definite, so its largest entry lies on its diagonal) and ``g =
     max |G|`` (1 if G = 0), so no scale of the data overflows float32, and
     the direction is mapped back as ``X = float64(X_32 + X_32') g / (2
     s^2)``, symmetrised in float32 and cast once; the step is thus
@@ -762,31 +759,27 @@ def _newton_step(
     float32's smallest normal number where ``d`` is not negative means that
     the system spans more orders of magnitude than single precision holds
     (columns on scales 1e-6 to 1e6, say); that raises ``NumericalError``
-    naming single-precision range, before any float32 overflow.  At the
-    sizes fitted here a CG iteration
-    is bound by the cost of each call, not by its flops, so its vector work
-    runs as level-1 BLAS on flat views of the buffers: ``X += alpha P`` and
-    ``R -= alpha image`` are one ``axpy`` each, ``P <- Z + beta P`` is
-    ``scal`` then ``axpy``, and both inner products are ``dot``; the two
-    matrix products, ``D o P`` and ``Z = R o M^-1`` stay NumPy.  ``axpy``
-    rounds ``a x + y`` once where NumPy rounded the product and the sum
-    apart, so X and R differ from a NumPy loop's in float32 rounding, and
-    fits move at that level, as they do by the float32 preconditioner and
-    symmetrisation.  Everything else (the inverse, G, the gain, the line
-    search and every factorisation) stays in double precision, so positive
-    definiteness and ascent keep their guarantees.
+    naming single-precision range, before any float32 overflow.  At these
+    sizes a CG iteration is bound by the cost of each call, not by its
+    flops, so its vector work runs as level-1 BLAS (``axpy``, ``scal``,
+    ``dot``) on flat views of the buffers; ``axpy`` rounds ``a x + y``
+    once, so fits differ from a NumPy loop's at float32 rounding.  The
+    inverse, G, the gain, the line search and every factorisation stay in
+    double precision, so positive definiteness and ascent keep their
+    guarantees.
 
     The symmetrised step is halved from length 1 until ``omega + alpha X``
     has a Cholesky factor and raises ``f`` by at least 1e-4 of the
     first-order gain ``alpha <G, X> / 2`` (Armijo; ``_line_search``).  The
-    rise is scored incrementally (``_change_along``): ``f(omega + alpha X) -
-    f(omega)`` is the log-determinant change times n/2 less three inner
-    products with ``X``, formed once per step, so a trial costs one
-    Cholesky factorisation and its log-determinant.  Once the first-order
-    gain is at most 1e-13 of ``|f(omega)|`` the comparison would be decided
-    by rounding, so a trial with a Cholesky factor is accepted without it;
-    a gain that is not positive returns omega unchanged.  So the result is
-    positive definite and ``f`` never falls beyond rounding.
+    rise is scored incrementally (``_change``): ``f(omega + alpha X) -
+    f(omega)`` is the log-determinant change times n/2 less two inner
+    products with ``X``, formed once per step (``<B + D o omega, X> = n <W,
+    X> - 2 gain``), so a trial costs one Cholesky factorisation and its
+    log-determinant.  Once the first-order gain is at most 1e-13 of
+    ``|f(omega)|`` the comparison would be decided by rounding, so a trial
+    with a Cholesky factor is accepted without it; a gain that is not
+    positive returns omega unchanged.  So the result is positive definite
+    and ``f`` never falls beyond rounding.
 
     ``factor`` is omega's lower Cholesky factor as ``_POTRF(omega, lower=1,
     clean=0)`` gives it (the upper triangle is not read); without it omega
@@ -794,35 +787,35 @@ def _newton_step(
     array, and its factor from the line search's own factorisation, so the
     next step and the ELBO need not factor it again.  If the gain is not
     positive, or 30 halvings find no acceptable length, a copy of ``omega``
-    comes back with its factor.
-    Neither ``omega`` nor ``factor`` is written.  A system that is not
-    positive definite (met as an entry of the preconditioner that is not
-    positive where ``d`` is negative, or a CG curvature ``<P, n W P W + D o
-    P>`` that is not positive; only a negative ``d`` can cause it) raises
-    ``NumericalError``.  One step costs O(p^3).
+    comes back with its factor.  No input is written; ``d`` is copied only
+    if its diagonal is not zero.  A system that is not positive definite
+    (met as an entry of the preconditioner that is not positive where ``d``
+    is negative, or a CG curvature ``<P, n W P W + D o P>`` that is not
+    positive; only a negative ``d`` can cause it) raises ``NumericalError``.
     """
     p = omega.shape[0]
-    base = np.array(scatter, dtype=float)
-    base.flat[:: p + 1] += lambda_diag
-    off = np.array(d, dtype=float)
-    off.flat[:: p + 1] = 0.0
+    off = np.asarray(d, dtype=float)
+    if off.diagonal().any():
+        off = off.copy()
+        off.flat[:: p + 1] = 0.0
     if factor is None:
         factor, info = _POTRF(omega, lower=1, clean=0)
         if info > 0:
             raise NumericalError("precision matrix is not positive definite")
     logdet = _logdet(factor)
     off_omega = off * omega
-    value = 0.5 * n * logdet - 0.5 * float(np.vdot(base, omega)) \
-        - 0.25 * float(np.vdot(off_omega, omega))
+    value = 0.5 * n * logdet - 0.5 * float(np.vdot(scatter, omega)) \
+        - 0.5 * lambda_diag * float(omega.trace()) - 0.25 * float(np.vdot(off_omega, omega))
     w = _inverse_from_factor(factor)
     grad = n * w
-    grad -= base
+    grad -= scatter
+    grad.flat[:: p + 1] -= lambda_diag
     grad -= off_omega
     # The float32 system is divided through by s^2 and g, so that its
     # largest entries are 1 whatever the scale of the data.  Each input is
     # rounded once, into its buffer; the preconditioner is formed in float32
     # from the rounded sqrt(n) W / s.
-    scale = math.sqrt(n) * max(float(w.max()), -float(w.min()))
+    scale = math.sqrt(n) * float(w.diagonal().max())
     grad_max = max(float(grad.max()), -float(grad.min())) or 1.0
     root_w, off32, inv_precond, resid, x, z, direction, image, scratch = np.empty(
         (9, p, p), dtype=np.float32
@@ -873,32 +866,36 @@ def _newton_step(
     gain = 0.5 * float(np.vdot(grad, x))
     if not gain > 0.0:
         return omega.copy(), factor
-    change = _change_along(omega, x, logdet, n, base, off, off_omega)
+    quadratic = float(np.vdot(np.multiply(off, x, out=grad), x))
+    # <B + D o omega, x> = n <W, x> - <G, x>, and <G, x> is twice the gain.
+    change = _change(logdet, n, n * float(np.vdot(w, x)) - 2.0 * gain, quadratic)
     return _line_search(omega, factor, x, gain, value, change)
+
+
+def _change(
+    logdet: float, n: int, linear: float, quadratic: float
+) -> Callable[[float, np.ndarray], float]:
+    """The precision objective's change along ``x``: with ``B = S + lambda
+    I``, ``D`` (zero diagonal), ``linear = <B + D o omega, x>``,
+    ``quadratic = <D o x, x>`` and ``logdet = log det omega``, ``f(omega +
+    alpha x) - f(omega) = (n/2)(log det(omega + alpha x) - logdet) -
+    (alpha/2) linear - (alpha^2/4) quadratic``, as ``change(alpha,
+    trial_factor)`` from the trial's Cholesky factor."""
+    def change(length: float, trial_factor: np.ndarray) -> float:
+        return 0.5 * n * (_logdet(trial_factor) - logdet) - 0.5 * length * linear \
+            - 0.25 * length * length * quadratic
+
+    return change
 
 
 def _change_along(
     omega: np.ndarray, x: np.ndarray, logdet: float, n: int,
     base: np.ndarray, off: np.ndarray, off_omega: np.ndarray,
 ) -> Callable[[float, np.ndarray], float]:
-    """The precision objective's change along ``x``, from three inner products.
-
-    With ``B = S + lambda I`` (``base``), ``D`` (``off``, zero diagonal) and
-    ``off_omega = D o omega``, ``f(omega + alpha x) - f(omega) = (n/2)(log
-    det(omega + alpha x) - log det omega) - (alpha/2)<B, x> - (alpha/2)<D o
-    omega, x> - (alpha^2/4)<D o x, x>``.  The inner products are formed here
-    once; the returned ``change(alpha, trial_factor)`` needs only the trial's
-    Cholesky factor.  ``logdet`` is log det omega.
-    """
-    base_x = float(np.vdot(base, x))
-    off_omega_x = float(np.vdot(off_omega, x))
-    off_x_x = float(np.vdot(off * x, x))
-
-    def change(length: float, trial_factor: np.ndarray) -> float:
-        return 0.5 * n * (_logdet(trial_factor) - logdet) - 0.5 * length * base_x \
-            - 0.5 * length * off_omega_x - 0.25 * length * length * off_x_x
-
-    return change
+    """``_change`` by three inner products with ``base = B``, ``off = D`` and
+    ``off_omega = D o omega``: the direct form of ``_newton_step``'s change."""
+    linear = float(np.vdot(base, x)) + float(np.vdot(off_omega, x))
+    return _change(logdet, n, linear, float(np.vdot(off * x, x)))
 
 
 def _line_search(
@@ -910,7 +907,7 @@ def _line_search(
     factor, or a copy of ``omega`` with ``factor``."""
     length = 1.0
     for _ in range(_HALVINGS):
-        trial = omega + length * x
+        trial = omega + (x if length == 1.0 else length * x)
         trial_factor, info = _POTRF(trial, lower=1, clean=0)
         if info == 0 and (
             length * gain <= _ROUNDING * abs(value)
@@ -999,21 +996,18 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     diagonal.  A product with ``I - J`` costs two p x p products and no
     ``eigh`` (``_ridge_newton_product``), so a step costs one ``eigh`` and
     seven p x p products.  From a positive ``delta`` it stops once a step
-    moves no diagonal entry by more than 1e-12 of the largest, once a step below
-    1e-4 of it no longer shrinks (the iteration has stalled at rounding
-    level, which happens far above 1e-12 for data on a very small or large
-    scale), or after 50 steps.  Every step yields a positive-definite omega,
-    since every g(b) is positive.  At the fixed point ``lambda tr(omega) <=
-    n p``, since the objective's derivative along ``t omega`` vanishes
-    there; an iterate whose diagonal passes ten times that (or ten times the
-    start's ``lambda p``) has diverged, as happens when ``eigh`` cannot
-    resolve a system whose columns span some fifteen orders of magnitude,
-    and raises ``NumericalError`` before any overflow.  A start capped at 50
-    steps whose ``lambda tr(omega)`` passes ``n p`` by more than rounding is
-    far from the fixed point (on columns spanning about fourteen orders of
-    magnitude with n << p such iterates diverge given more steps) and raises
-    ``NumericalError`` too.
-    The result, exactly symmetric, depends on the level's data, ``nu1`` and
+    moves no diagonal entry by more than 1e-12 of the largest, once a step
+    below 1e-4 of it no longer shrinks (stalled at rounding level, as on
+    data of a very small or large scale), or after 50 steps.  Every step
+    yields a positive-definite omega, since every g(b) is positive.  At the
+    fixed point ``lambda tr(omega) <= n p`` (the objective's derivative
+    along ``t omega`` vanishes there).  An iterate whose diagonal passes ten
+    times that (or ten times the start's ``lambda p``) has diverged, as when
+    ``eigh`` cannot resolve columns spanning some fifteen orders of
+    magnitude, and a start capped at 50 steps that passes ``n p`` by more
+    than rounding is far from the fixed point (such iterates diverge given
+    more steps); both raise ``NumericalError``, before any overflow.  The
+    result, exactly symmetric, depends on the level's data, ``nu1`` and
     ``lambda_diag`` only, never on the spike.
     """
     p = scatter.shape[0]
@@ -1021,8 +1015,6 @@ def ridge_start(scatter: np.ndarray, n: int, nu1: float, lambda_diag: float) -> 
     system = np.array(scatter, dtype=float)
     base = np.diag(system) + lambda_diag
     delta = np.ones(p)
-    # lambda tr(omega) <= n p at the fixed point (f's derivative along
-    # omega -> t omega vanishes there), and the start has trace p.
     bound = _RIDGE_DIVERGED * max(n * p, lambda_diag * p)
     previous = math.inf
     for _ in range(_RIDGE_STEPS):
@@ -1390,23 +1382,16 @@ def fit(
     trace remains an ascent at the requested hyperparameters.
 
     Every coordinate pass after the burn-in ends with one Newton-CG step
-    (``_newton_step``) per level on that level's precision objective at the
-    pass's expected prior precisions: the inverse from the matrix's Cholesky
-    factor, ten preconditioned conjugate-gradient iterations on the Newton
-    system (in single precision, on a scale-normalised copy of it whose
-    inputs and Jacobi preconditioner are each rounded once), and a line
-    search in double precision that accepts only a positive-definite matrix
-    that raises the objective (Armijo), so the ELBO trace stays an ascent.
-    Data whose columns differ in scale so widely that the start diverges, or
-    that the normalised system leaves single-precision range, raise
+    (``_newton_step``, O(p^3)) per level at the pass's expected prior
+    precisions; its line search accepts only a positive-definite matrix
+    that raises the objective, so the ELBO trace stays an ascent.  Data
+    whose columns differ in scale so widely that the start diverges, or
+    that the step's single-precision system leaves float32 range, raise
     ``NumericalError``; standardised columns (``prepare(scale=True)``) fit.
-    The step costs O(p^3) where a column-wise CM sweep costs O(p^4).  The
-    factor is carried: the line search's factorisation of the accepted
-    matrix gives the ELBO its log-determinant and starts the next step, so
-    each precision iterate is factored once; a given start's check supplies
-    the first factor.  The factor updates and the ELBO work on the state's
-    pair vectors, and the ELBO takes the probit tails of each truncation
-    location that the pass's edge-latent update computed.
+    The Cholesky factor of each accepted matrix gives the ELBO its
+    log-determinant and starts the next step (a given start's check
+    supplies the first), and the ELBO takes the probit tails that the
+    pass's edge-latent update computed.
     """
     if controls is None:
         controls = FitControls()

@@ -75,17 +75,19 @@ class Nu0SearchResult:
 
 def gaussian_log_likelihood(omega: np.ndarray, data: np.ndarray) -> float:
     """Log likelihood of centered data under the zero-mean Gaussian with this precision."""
-    omega = np.asarray(omega, dtype=float)
     data = np.asarray(data, dtype=float)
-    n, p = data.shape
+    return _log_likelihood(omega, sample_covariance(data), data.shape[0])
+
+
+def _log_likelihood(omega: np.ndarray, scatter: np.ndarray, n: int) -> float:
+    """``gaussian_log_likelihood`` from the data's scatter matrix and sample count."""
+    omega = np.asarray(omega, dtype=float)
     try:
         chol = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise NumericalError("precision matrix is not positive definite")
-    logdet = _logdet(chol)
-    scatter = sample_covariance(data)
-    return 0.5 * n * logdet - 0.5 * float(np.sum(scatter * omega)) \
-        - 0.5 * n * p * math.log(2.0 * math.pi)
+    return 0.5 * n * _logdet(chol) - 0.5 * float(np.sum(scatter * omega)) \
+        - 0.5 * n * scatter.shape[0] * math.log(2.0 * math.pi)
 
 
 def ebic(
@@ -100,16 +102,21 @@ def ebic(
     1e-8 in magnitude; pass it explicitly when the edge set was decided by
     inclusion probabilities rather than by thresholding ``omega``.
     """
-    if gamma < 0.0:
-        raise DataError("gamma must be non-negative")
     omega = np.asarray(omega, dtype=float)
     data = np.asarray(data, dtype=float)
     n, p = data.shape
     if n_edges is None:
         iu = np.triu_indices(p, 1)
         n_edges = int(np.count_nonzero(np.abs(omega[iu]) > _EDGE_EPS))
-    loglik = gaussian_log_likelihood(omega, data)
-    return -2.0 * loglik + n_edges * math.log(n) + 4.0 * gamma * n_edges * math.log(p)
+    return _ebic(omega, sample_covariance(data), n, gamma, n_edges)
+
+
+def _ebic(omega: np.ndarray, scatter: np.ndarray, n: int, gamma: float, n_edges: int) -> float:
+    """``ebic`` from the data's scatter matrix and sample count."""
+    if gamma < 0.0:
+        raise DataError("gamma must be non-negative")
+    return -2.0 * _log_likelihood(omega, scatter, n) + n_edges * math.log(n) \
+        + 4.0 * gamma * n_edges * math.log(scatter.shape[0])
 
 
 def ebic_for_ssl_fit(
@@ -125,7 +132,8 @@ def ebic_for_ssl_fit(
 
     Edges are those with inclusion probability >= 0.5; entries outside the
     edge set are re-shrunk to the spike before the likelihood is evaluated,
-    so the edge count and the likelihood describe the same estimate.
+    so the edge count and the likelihood describe the same estimate.  The
+    refit's scatter matrix serves the likelihood too.
     """
     data = np.asarray(data, dtype=float)
     n, p = data.shape
@@ -133,7 +141,7 @@ def ebic_for_ssl_fit(
     d = _symmetric(np.where(selected, 1.0 / (nu1 * nu1), 1.0 / (nu0 * nu0)), p)
     scatter = sample_covariance(data)
     refit = refit_precision(fit.omega, scatter, n, d, lambda_diag)
-    return ebic(refit, data, gamma, n_edges=int(np.count_nonzero(selected)))
+    return _ebic(refit, scatter, n, gamma, int(np.count_nonzero(selected)))
 
 
 def _search_level(

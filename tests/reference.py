@@ -23,6 +23,13 @@ entry by entry over the upper triangle.  ``ordnet.engine._elbo_terms``
 forms the same terms from per-level sums and inner products, so the tests
 check it against these at a relative tolerance.
 
+``edge_count_prior`` is the edge-count prior's bisection as it ran before
+it stopped early: 200 halvings whatever happens, and the Gauss-Hermite
+nodes built on every call.  ``ordnet.engine.edge_count_prior`` must equal
+it bit for bit, its errors included.  ``read_data_csv`` is the data-file
+reader that casts each line's tokens with ``float()`` as it reads them, the
+reference for ``ordnet.cli.read_data_csv``'s values and error messages.
+
 Test modules import this file as ``from reference import ...``, the way
 they import ``conftest``.
 """
@@ -36,10 +43,14 @@ import numpy as np
 from scipy import special
 from scipy.linalg import cho_solve
 
-from ordnet import NumericalError
+from ordnet import DataError, NumericalError
+from ordnet.cli import _read_lines
 from ordnet.engine import (
     _LOG_2PI,
     _POTRF,
+    _QUAD_NODES,
+    _SQRT2,
+    _SQRT_PI,
     _beta_update_core,
     _edge_latent_core,
     _expected_prior_precision,
@@ -318,3 +329,72 @@ def elbo_terms(
             + (1.0 - shape) * float(special.digamma(shape))
         )
     return terms
+
+
+def edge_count_prior(p, expected_edges=None, sd_edges=None):
+    """``ordnet.engine.edge_count_prior`` with the full 200-step bisection."""
+    if p < 2:
+        raise DataError("need at least 2 variables")
+    m_edges = p * (p - 1) / 2.0
+    e0 = float(p) if expected_edges is None else float(expected_edges)
+    s0 = p / 2.0 if sd_edges is None else float(sd_edges)
+    if not 0.0 < e0 < m_edges:
+        raise DataError(f"expected_edges must lie in (0, {m_edges:g}), got {e0:g}")
+    if not 0.0 < s0 < math.inf:
+        raise DataError("sd_edges must be positive and finite")
+    n0 = float(special.ndtri(e0 / m_edges))
+    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
+
+    def edge_count_sd(t0_sq):
+        zeta = n0 + _SQRT2 * math.sqrt(t0_sq) * nodes
+        phi = special.ndtr(zeta)
+        e1 = float(weights @ phi) / _SQRT_PI
+        e2 = float(weights @ (phi * phi)) / _SQRT_PI
+        var = m_edges * (e1 - e2) + m_edges * m_edges * (e2 - e1 * e1)
+        return math.sqrt(max(var, 0.0))
+
+    lo, hi = 1e-12, 1.0
+    if edge_count_sd(lo) >= s0:
+        return n0, 0.25
+    while (reached := edge_count_sd(hi)) < s0 and hi < 1e6:
+        hi *= 4.0
+    if reached < s0:
+        raise DataError(f"sd_edges must stay below {reached:.4g} for p = {p} and "
+                        f"expected_edges = {e0:g}, got {s0:g}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if edge_count_sd(mid) < s0:
+            lo = mid
+        else:
+            hi = mid
+    return n0, max(0.5 * (lo + hi), 0.25)
+
+
+def read_data_csv(path):
+    """``ordnet.cli.read_data_csv`` casting line by line with ``float()``."""
+    lines = _read_lines(path)
+    names = tuple(part.strip() for part in next(lines).strip().split(","))
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise DataError(
+                f"{path}:{lineno}: expected {len(names)} columns, got {len(parts)}"
+            )
+        try:
+            values = [float(part) for part in parts]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric value")
+        if not all(map(math.isfinite, values)):
+            col = next(k for k, value in enumerate(values) if not math.isfinite(value))
+            raise DataError(
+                f"{path}:{lineno}: non-finite value {values[col]} "
+                f"in column '{names[col]}'"
+            )
+        rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return names, np.array(rows)

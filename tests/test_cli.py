@@ -35,6 +35,7 @@ from ordnet.cli import (
     write_json,
     write_manifest,
 )
+import reference
 
 SIM_LINES = (
     "p = 12",
@@ -175,6 +176,68 @@ class TestFileFormats:
         with pytest.raises(DataError, match=r"data\.csv:4: non-finite value .* column 'b'"):
             read_data_csv(str(path))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
+                    min_size=width, max_size=width,
+                ),
+                min_size=1, max_size=5,
+            )
+        )
+    )
+    def test_data_csv_round_trip_is_bit_exact(self, csv_path, rows):
+        data = np.array(rows, dtype=float)
+        names = tuple(f"v{k}" for k in range(data.shape[1]))
+        write_data_csv(str(csv_path), data, names)
+        back_names, back = read_data_csv(str(csv_path))
+        assert back_names == names
+        assert back.dtype == np.float64 and back.shape == data.shape
+        assert back.tobytes() == data.tobytes()
+
+    def test_data_csv_tokens_parse_as_float_parses_them(self, tmp_path):
+        # Padded tokens, digit-group underscores, non-ASCII digits and
+        # spaces, and CRLF line ends.
+        rows = [[" 1.5 ", "1_0", "\u0661\u0662"], ["\uff13", "\u2003-0.0", "+.5e-3\t"]]
+        path = tmp_path / "data.csv"
+        text = "a,b,c\r\n" + "".join(",".join(row) + "\r\n" for row in rows)
+        path.write_bytes(text.encode("utf-8"))
+        names, data = read_data_csv(str(path))
+        expected = np.array([[float(token.strip()) for token in row] for row in rows])
+        assert names == ("a", "b", "c")
+        assert data.tobytes() == expected.tobytes()
+        assert data.tobytes() == reference.read_data_csv(str(path))[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["1.5,2.5", "1.0,2.0", "", "3.0,x"], ":5: non-numeric value"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0,1e400"], ":5: non-finite value inf in column 'b'"),
+            (["1.5,2.5", "1.0,2.0", "", "nan,-inf"], ":5: non-finite value nan in column 'a'"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0,4.0,5.0"], ":5: expected 2 columns, got 3"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0"], ":5: expected 2 columns, got 1"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0,0x1", "3.0"], ":5: non-numeric value"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0", "3.0,x"], ":5: expected 2 columns, got 1"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0,inf", "3.0,x"],
+             ":5: non-finite value inf in column 'b'"),
+            (["1.5,2.5", "1.0,2.0", "", "3.0,4.0", "1_2_,0"], ":6: non-numeric value"),
+            (["", " ", ""], ": no data rows"),
+        ],
+    )
+    def test_data_csv_errors_name_the_first_bad_line(self, tmp_path, lines, message):
+        # The message of the line-by-line reader, byte for byte, for a bad
+        # line after good ones.
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            read_data_csv(str(path))
+        with pytest.raises(DataError) as expected:
+            reference.read_data_csv(str(path))
+        assert str(raised.value) == str(expected.value) == f"{path}{message}"
+
     def test_manifest_round_trip(self, tmp_path):
         entries = [("data_level_1.csv", 1, 50), ("data_level_2.csv", 2, 60)]
         path = str(tmp_path / "manifest.csv")
@@ -209,6 +272,11 @@ def _documents_and_fields(draw):
     doc.update(schema_version="1.0", kind="fit")
     keys = sorted(doc) + ["absent"]
     return doc, draw(st.none() | st.lists(st.sampled_from(keys), unique=True))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
 
 
 @pytest.fixture(scope="module")

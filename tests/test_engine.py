@@ -1,5 +1,6 @@
 """Variational engine: single-update oracles, ELBO bookkeeping, full fits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from ordnet import (
 )
 from ordnet.engine import _LOG_2PI, _SQRT_2_OVER_PI, refit_precision
 from conftest import with_pair
+import reference
 from reference import (
     beta_update,
     cm_sweep,
@@ -108,6 +110,29 @@ class TestEdgeCountPrior:
         # sd(K) cannot exceed M/2 = 22.5 here, whatever the intercept variance.
         with pytest.raises(DataError, match="sd_edges must stay below 22.5 "):
             edge_count_prior(10, 10, 50)
+
+    def test_equals_the_full_bisection_bit_for_bit(self):
+        # Expected edges at five fractions of M and sd_edges at five
+        # multiples of their square root, on nine p: floored variances,
+        # solved ones and unreachable sds, each as the 200-step bisection
+        # with nodes built per call gives it.
+        outcomes = {"floor": 0, "solved": 0, "error": 0}
+        for p in (4, 6, 12, 20, 30, 50, 100, 200, 400):
+            m = p * (p - 1) / 2.0
+            grid = itertools.product((0.01, 0.05, 0.2, 0.5, 0.9), (0.1, 0.5, 1.0, 3.0, 10.0))
+            for fraction, factor in grid:
+                e0 = fraction * m
+                results = []
+                for prior in (edge_count_prior, reference.edge_count_prior):
+                    try:
+                        results.append([value.hex() for value in prior(p, e0, factor * e0**0.5)])
+                    except DataError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], (p, fraction, factor)
+                kind = "error" if isinstance(results[1], str) else (
+                    "floor" if results[1][1] == (0.25).hex() else "solved")
+                outcomes[kind] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestHyperparameters:
@@ -1232,6 +1257,62 @@ class TestNewtonStep:
             engine._newton_step(omega, scatter, 3 * p, d, 1.0, factor)
             for array, before in zip((omega, scatter, d, factor), given):
                 assert np.array_equal(array, before), p
+
+    def test_reads_the_prior_precisions_read_only(self, rng):
+        # _prior_precisions gives a read-only d with a zero diagonal, which
+        # the step uses as it stands and does not write.
+        data = grouped(rng, (1, 2), 40, 8)
+        hyper = default_hyper(data.levels)
+        state = fit(data, hyper, FitControls(max_iter=2, min_iter=1)).final_state
+        d = engine._prior_precisions(state, hyper, 2)
+        assert not d.flags.writeable and not d.diagonal().any()
+        before = d.copy()
+        scatter = sample_covariance(data.group(2))
+        stepped, _ = engine._newton_step(state.omega[2], scatter, 40, d, hyper.lambda_diag)
+        writable = engine._newton_step(state.omega[2], scatter, 40, before, hyper.lambda_diag)[0]
+        assert d.tobytes() == before.tobytes()
+        assert stepped.tobytes() == writable.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    def test_ignores_the_diagonal_of_d(self, rng, p):
+        omega, scatter, d = self.inputs(rng, p, 3 * p, 0.05)
+        zeroed = d.copy()
+        np.fill_diagonal(zeroed, 0.0)
+        given = d.copy()
+        stepped, factor = engine._newton_step(omega, scatter, 3 * p, d, 1.3)
+        expected, expected_factor = engine._newton_step(omega, scatter, 3 * p, zeroed, 1.3)
+        assert d.tobytes() == given.tobytes()
+        assert stepped.tobytes() == expected.tobytes()
+        assert np.tril(factor).tobytes() == np.tril(expected_factor).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 12, 40])
+    @pytest.mark.parametrize("n_per_p", [3.0, 0.3])
+    def test_change_from_the_gain_matches_the_direct_one(self, rng, monkeypatch, p, n_per_p):
+        # The step takes <B + D o omega, x> as n <W, x> - 2 gain; scored
+        # with the three direct inner products, every trial's change agrees.
+        n = max(2, int(n_per_p * p))
+        omega, scatter, d = self.inputs(rng, p, n, 0.05)
+        searches = []
+        line_search = engine._line_search
+
+        def recording(omega, factor, x, gain, value, change):
+            searches.append((factor, x, change))
+            return line_search(omega, factor, x, gain, value, change)
+
+        monkeypatch.setattr(engine, "_line_search", recording)
+        engine._newton_step(omega, scatter, n, d, 1.3)
+        (factor, x, change), = searches
+        off = d * (1.0 - np.eye(p))
+        direct = engine._change_along(
+            omega, x, engine._logdet(factor), n, scatter + 1.3 * np.eye(p), off, off * omega
+        )
+        value = precision_objective(omega, scatter, n, d, 1.3)
+        for length in (1.0, 0.5, 0.125, 2.0**-20):
+            trial = omega + length * x
+            if is_positive_definite(trial):
+                trial_factor = cholesky(trial, lower=True)
+                assert abs(change(length, trial_factor) - direct(length, trial_factor)) \
+                    <= 1e-9 * abs(value)
 
     def test_indefinite_system_raises_inside_cg(self, rng):
         # Every entry of the preconditioner stays positive, so only the CG
